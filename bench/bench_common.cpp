@@ -3,17 +3,17 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <tuple>
 
-#include "analysis/json.hpp"
-#include "sweep/engine.hpp"
 #include "analysis/report.hpp"
 #include "analysis/trace_view.hpp"
 #include "common/expect.hpp"
 #include "common/profile.hpp"
 #include "partition/analytic_eval.hpp"
 #include "partition/neighborhood.hpp"
+#include "scenario/artifacts.hpp"
+#include "sweep/engine.hpp"
 
 namespace autopipe::bench {
 
@@ -25,32 +25,6 @@ std::string g_timeseries_path;
 double g_timeseries_interval = 1.0;
 std::string g_profile_path;
 std::size_t g_jobs = 1;
-
-// "PATH[:INTERVAL]" — the suffix after the last ':' counts as an interval
-// only when it parses fully as a positive number.
-void set_timeseries_spec(const std::string& spec) {
-  const std::string::size_type colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size()) {
-    char* end = nullptr;
-    const double v = std::strtod(spec.c_str() + colon + 1, &end);
-    if (end != nullptr && *end == '\0' && v > 0.0) {
-      g_timeseries_path = spec.substr(0, colon);
-      g_timeseries_interval = v;
-      return;
-    }
-  }
-  g_timeseries_path = spec;
-  g_timeseries_interval = 1.0;
-}
-
-bool wants_text_format(const std::string& path) {
-  auto ends_with = [&path](const char* suffix) {
-    const std::string s(suffix);
-    return path.size() >= s.size() &&
-           path.compare(path.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with(".txt") || ends_with(".trace");
-}
 }  // namespace
 
 void parse_common_flags(int argc, const char* const* argv) {
@@ -69,9 +43,11 @@ void parse_common_flags(int argc, const char* const* argv) {
     } else if (a == "--ledger" && i + 1 < argc) {
       g_ledger_path = argv[++i];
     } else if (a.rfind("--timeseries=", 0) == 0) {
-      set_timeseries_spec(a.substr(13));
+      std::tie(g_timeseries_path, g_timeseries_interval) =
+          scenario::split_timeseries_arg(a.substr(13));
     } else if (a == "--timeseries" && i + 1 < argc) {
-      set_timeseries_spec(argv[++i]);
+      std::tie(g_timeseries_path, g_timeseries_interval) =
+          scenario::split_timeseries_arg(argv[++i]);
     } else if (a.rfind("--profile=", 0) == 0) {
       g_profile_path = a.substr(10);
     } else if (a == "--profile" && i + 1 < argc) {
@@ -129,28 +105,26 @@ std::string scenario_path(const std::string& base,
 }
 
 std::vector<sim::WorkerId> Testbed::all_workers() const {
-  std::vector<sim::WorkerId> out(cluster->num_workers());
-  for (sim::WorkerId w = 0; w < out.size(); ++w) out[w] = w;
-  return out;
+  return scenario::all_workers(*cluster);
 }
 
 Testbed make_testbed(double bandwidth_gbps) {
-  Testbed t;
-  t.simulator = std::make_unique<sim::Simulator>();
-  if (!g_trace_path.empty()) t.simulator->tracer().set_enabled(true);
-  if (!g_ledger_path.empty()) t.simulator->ledger().set_enabled(true);
+  scenario::Spec spec;
+  spec.cluster.nic_bandwidth = gbps(bandwidth_gbps);
+  spec.sinks.trace = !g_trace_path.empty();
+  spec.sinks.ledger = !g_ledger_path.empty();
   if (!g_timeseries_path.empty())
-    t.simulator->timeseries().configure(g_timeseries_interval);
-  sim::ClusterConfig config;
-  config.nic_bandwidth = gbps(bandwidth_gbps);
-  t.cluster = std::make_unique<sim::Cluster>(*t.simulator, config);
+    spec.sinks.timeseries_interval = g_timeseries_interval;
+  Testbed t;
+  t.world = std::make_unique<scenario::World>(std::move(spec));
+  t.simulator = &t.world->simulator();
+  t.cluster = &t.world->cluster();
   return t;
 }
 
 void add_shared_jobs(Testbed& testbed, int extra_jobs) {
   AUTOPIPE_EXPECT(extra_jobs >= 0);
   sim::Cluster& cluster = *testbed.cluster;
-  const std::size_t servers = cluster.num_servers();
   const std::size_t gpus = cluster.config().gpus_per_server;
   // Co-located jobs land where the scheduler packs them, not uniformly:
   // job j occupies a contiguous block of 60% of the GPUs (offset per job)
@@ -229,98 +203,83 @@ partition::PlanResult plan_refined(const Testbed& testbed,
 RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
                        const partition::Partition& partition,
                        const RunOptions& options) {
-  pipeline::ExecutorConfig config;
-  config.framework = options.framework;
-  config.sync_scheme = options.scheme;
-  config.mode = options.mode;
-  config.micro_batches = options.micro_batches;
-  pipeline::PipelineExecutor executor(*testbed.cluster, model, partition,
-                                      config);
-
-  std::unique_ptr<core::AutoPipeController> controller;
+  scenario::Job job;
+  job.model = model;
+  job.partition = partition;
+  job.executor.framework = options.framework;
+  job.executor.sync_scheme = options.scheme;
+  job.executor.mode = options.mode;
+  job.executor.micro_batches = options.micro_batches;
   if (options.autopipe) {
-    core::ControllerConfig cc;
-    cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-    cc.use_meta_network = false;
+    core::ControllerConfig cc = scenario::default_controller();
     cc.decision_interval = options.decision_interval;
     // Predicted gains below this floor are not worth a migration; measured
     // validation reverts mispredicted switches.
     cc.candidate_gain_floor = 0.02;
     cc.replan_on_change = true;
-    controller = std::make_unique<core::AutoPipeController>(
-        *testbed.cluster, executor, cc, nullptr, nullptr);
+    // Figure runs are fault-free, so the stall watchdog has nothing to
+    // catch; leaving it off keeps watchdog ticks out of their event stream.
+    cc.enable_watchdog = false;
+    job.controller = cc;
   }
-  executor.set_iteration_callback([&](std::size_t iters) {
-    if (options.trace)
-      options.trace->apply_iteration(iters, *testbed.cluster);
-    if (controller) controller->on_iteration(iters);
-  });
+  job.iterations = options.iterations;
+  job.warmup = options.warmup;
 
-  const auto report = executor.run(options.iterations, options.warmup);
+  scenario::World& world = *testbed.world;
+  world.launch(std::move(job));
+  world.set_resource_trace(options.trace);
+  world.run();
+  const pipeline::ExecutionReport& report = world.report();
+  const sim::Simulator& simulator = world.simulator();
 
-  if (!g_trace_path.empty()) {
-    // Figures run many scenarios on separate testbeds; a labelled run gets
-    // its own fig.<scenario>.trace, an unlabelled one keeps the legacy
-    // overwrite-last-wins behaviour on the given path.
-    const std::string path = scenario_path(g_trace_path, options.scenario);
-    std::ofstream out(path);
-    if (out.good()) {
-      if (wants_text_format(path)) {
-        testbed.simulator->tracer().write_text(out);
-      } else {
-        testbed.simulator->tracer().write_chrome_json(out);
-      }
-      std::cout << "trace: " << testbed.simulator->tracer().size()
-                << " events -> " << path << "\n";
-    }
+  // Figures run many scenarios on separate testbeds; a labelled run gets
+  // its own fig.<scenario>.* files, an unlabelled one keeps the legacy
+  // overwrite-last-wins behaviour on the given path.
+  const auto path = [&options](const std::string& base) {
+    return base.empty() ? base : scenario_path(base, options.scenario);
+  };
+  scenario::OutputPaths paths;
+  paths.trace = path(g_trace_path);
+  paths.metrics = path(g_metrics_path);
+  paths.ledger = path(g_ledger_path);
+  paths.timeseries = path(g_timeseries_path);
+  scenario::write_outputs(simulator, paths);
+
+  if (!paths.trace.empty()) {
+    std::cout << "trace: " << simulator.tracer().size() << " events -> "
+              << paths.trace << "\n";
     TextTable metrics_table({"metric", "value"});
-    for (const auto& [name, value] : testbed.simulator->metrics().all())
+    for (const auto& [name, value] : simulator.metrics().all())
       metrics_table.add_row({name, TextTable::num(value, 3)});
-    if (!testbed.simulator->metrics().all().empty())
+    if (!simulator.metrics().all().empty())
       metrics_table.print(std::cout, "run metrics");
 
     // The analyzer runs straight off the in-memory recorder, so every
     // traced bench run reports where its GPU seconds went.
-    const analysis::TraceView view(testbed.simulator->tracer().events());
+    const analysis::TraceView view(simulator.tracer().events());
     const analysis::RunAnalysis breakdown = analysis::analyze(view);
     std::cout << render_bubbles_text(breakdown) << '\n'
               << render_critical_path_text(breakdown, 5);
   }
-  if (!g_metrics_path.empty()) {
-    const std::string path = scenario_path(g_metrics_path, options.scenario);
-    std::ofstream out(path);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open metrics file " << path);
-    analysis::write_scalar_map_json(testbed.simulator->metrics().all(), out);
-    std::cout << "metrics: " << testbed.simulator->metrics().all().size()
-              << " values -> " << path << "\n";
+  if (!paths.metrics.empty()) {
+    std::cout << "metrics: " << simulator.metrics().flattened().size()
+              << " values -> " << paths.metrics << "\n";
   }
-  if (!g_ledger_path.empty()) {
-    testbed.simulator->ledger().finalize("run_end");
-    const std::string path = scenario_path(g_ledger_path, options.scenario);
-    std::ofstream out(path);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open ledger file " << path);
-    testbed.simulator->ledger().write_text(out);
-    std::cout << "ledger: " << testbed.simulator->ledger().size()
-              << " decisions -> " << path << "\n";
+  if (!paths.ledger.empty()) {
+    std::cout << "ledger: " << simulator.ledger().size() << " decisions -> "
+              << paths.ledger << "\n";
   }
-  if (testbed.simulator->timeseries().enabled()) {
-    testbed.simulator->timeseries().finalize(testbed.simulator->now(),
-                                             testbed.simulator->metrics());
-    const std::string path =
-        scenario_path(g_timeseries_path, options.scenario);
-    std::ofstream out(path);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open timeseries file " << path);
-    testbed.simulator->timeseries().write_text(out);
-    std::cout << "timeseries: " << testbed.simulator->timeseries().size()
-              << " samples -> " << path << "\n";
+  if (!paths.timeseries.empty()) {
+    std::cout << "timeseries: " << simulator.timeseries().size()
+              << " samples -> " << paths.timeseries << "\n";
   }
 
   RunResult result;
   result.throughput = report.throughput;
   result.per_iteration = report.iteration_throughput;
   result.end_times = report.iteration_end_times;
-  result.batch = executor.batch_size();
-  result.switches = executor.switches_performed();
+  result.batch = world.executor().batch_size();
+  result.switches = world.executor().switches_performed();
   result.utilization = report.worker_utilization;
   return result;
 }
@@ -368,24 +327,14 @@ bool run_scenario(const std::string& label,
 
 int exit_status() {
   if (!g_profile_path.empty()) {
-    // Scenario workers joined inside for_each_scenario, so collect() is
-    // safe by the time main() asks for its exit code.
-    prof::set_enabled(false);
-    const std::vector<prof::ThreadProfile> profiles = prof::collect();
-    std::ofstream out(g_profile_path);
-    if (out.good()) {
-      const bool json =
-          g_profile_path.size() >= 5 &&
-          g_profile_path.rfind(".json") == g_profile_path.size() - 5;
-      if (json) {
-        prof::write_chrome_json(profiles, out);
-      } else {
-        prof::write_text(profiles, out);
-      }
+    // Scenario workers joined inside for_each_scenario, so collecting the
+    // profile is safe by the time main() asks for its exit code.
+    try {
+      const auto profiles = scenario::write_profile(g_profile_path);
       std::cout << "profile: " << profiles.size() << " thread(s) -> "
                 << g_profile_path << "\n";
-    } else {
-      std::cerr << "cannot open profile file " << g_profile_path << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << e.what() << "\n";
     }
     g_profile_path.clear();  // idempotent if called twice
   }

@@ -18,6 +18,7 @@
 #include "models/zoo.hpp"
 #include "partition/pipedream_planner.hpp"
 #include "pipeline/executor.hpp"
+#include "scenario/world.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
@@ -26,10 +27,12 @@ namespace autopipe::bench {
 /// The paper's bandwidth grid.
 inline const std::vector<double> kBandwidthGridGbps = {10, 25, 40, 100};
 
-/// One self-contained simulated testbed instance.
+/// One self-contained simulated testbed instance: a scenario world whose
+/// job run_pipeline launches. `simulator` and `cluster` point into it.
 struct Testbed {
-  std::unique_ptr<sim::Simulator> simulator;
-  std::unique_ptr<sim::Cluster> cluster;
+  std::unique_ptr<scenario::World> world;
+  sim::Simulator* simulator = nullptr;
+  sim::Cluster* cluster = nullptr;
 
   std::vector<sim::WorkerId> all_workers() const;
 };

@@ -18,9 +18,7 @@
 //   chaos_faults [--seeds=N] [--iterations=N] [--epsilon=X] [--seed0=N]
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,7 +27,9 @@
 #include "analysis/trace_view.hpp"
 #include "bench_common.hpp"
 #include "common/expect.hpp"
+#include "common/flags.hpp"
 #include "faults/fault_plan.hpp"
+#include "scenario/artifacts.hpp"
 
 using namespace autopipe;
 
@@ -58,37 +58,23 @@ struct ChaosOutcome {
 /// One full simulated training run under `fault_plan` (empty plan = probe).
 ChaosOutcome run_chaos(const faults::FaultPlan& fault_plan,
                        std::size_t iterations) {
-  sim::Simulator simulator;
-  simulator.tracer().set_enabled(true);
-  simulator.ledger().set_enabled(true);
-  sim::ClusterConfig config;
-  config.num_servers = kServers;
-  config.gpus_per_server = kGpusPerServer;
-  sim::Cluster cluster(simulator, config);
-
-  const auto model = models::alexnet();
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-  partition::PipeDreamPlanner planner(
-      model, env, model.default_batch_size(),
-      partition::PipeDreamPlanner::Mode::kCurrentEnvironment);
-  const auto plan = planner.plan(cluster.num_workers());
-
-  pipeline::ExecutorConfig executor_config;
-  executor_config.framework = comm::pytorch_profile();
-  executor_config.sync_scheme = comm::SyncScheme::kRing;
-  pipeline::PipelineExecutor executor(cluster, model, plan.partition,
-                                      executor_config);
-
-  core::ControllerConfig cc;
-  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-  cc.use_meta_network = false;
-  core::AutoPipeController controller(cluster, executor, cc, nullptr,
-                                      nullptr);
-  controller.attach();
-  fault_plan.install(simulator, cluster);
-
-  const auto report = executor.run(iterations, /*warmup=*/5);
+  scenario::Spec spec;
+  spec.sinks.trace = true;
+  spec.sinks.ledger = true;
+  spec.cluster.num_servers = kServers;
+  spec.cluster.gpus_per_server = kGpusPerServer;
+  spec.fault_plan = fault_plan;
+  spec.job.model = models::alexnet();
+  spec.job.planner_mode =
+      partition::PipeDreamPlanner::Mode::kCurrentEnvironment;
+  spec.job.controller = scenario::default_controller();
+  spec.job.iterations = iterations;
+  spec.job.warmup = 5;
+  scenario::World world(std::move(spec));
+  world.run();
+  const pipeline::PipelineExecutor& executor = world.executor();
+  const core::AutoPipeController& controller = *world.controller();
+  const sim::Simulator& simulator = world.simulator();
 
   ChaosOutcome out;
   out.stats = executor.fault_stats();
@@ -96,17 +82,14 @@ ChaosOutcome run_chaos(const faults::FaultPlan& fault_plan,
   out.wedges = controller.stats().wedges_detected;
   out.emergency_replans = controller.stats().emergency_replans;
   out.readmissions = controller.stats().readmissions;
-  out.end_times = report.iteration_end_times;
-  std::ostringstream os;
-  simulator.tracer().write_text(os);
-  out.trace_text = os.str();
-  simulator.ledger().finalize("run_end");
+  out.end_times = world.report().iteration_end_times;
+  out.trace_text =
+      scenario::artifact_text(simulator, scenario::Artifact::kTrace);
   out.ledger_resolved = simulator.ledger().all_resolved();
   out.ledger_size = simulator.ledger().size();
   out.decisions = controller.stats().decisions;
-  std::ostringstream ls;
-  simulator.ledger().write_text(ls);
-  out.ledger_text = ls.str();
+  out.ledger_text =
+      scenario::artifact_text(simulator, scenario::Artifact::kLedger);
 
   // Bubble attribution must still partition every worker's wall clock
   // exactly with the fault-downtime class in the mix.
@@ -136,37 +119,16 @@ double mean_period(const std::vector<double>& end_times, std::size_t lo,
   return span > 0.0 ? span / static_cast<double>(hi - lo) : 0.0;
 }
 
-std::size_t flag(int argc, char** argv, const std::string& name,
-                 std::size_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return static_cast<std::size_t>(
-          std::strtoull(a.c_str() + prefix.size(), nullptr, 10));
-  }
-  return fallback;
-}
-
-double flag_double(int argc, char** argv, const std::string& name,
-                   double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return std::strtod(a.c_str() + prefix.size(), nullptr);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  const std::size_t seeds = flag(argc, argv, "seeds", 50);
-  const std::size_t seed0 = flag(argc, argv, "seed0", 1);
-  const std::size_t iterations = flag(argc, argv, "iterations", 100);
-  const double epsilon = flag_double(argc, argv, "epsilon", 0.35);
+  const Flags flags(argc, argv);
+  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 50));
+  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
+  const auto iterations =
+      static_cast<std::size_t>(flags.get_int("iterations", 100));
+  const double epsilon = flags.get_double("epsilon", 0.35);
 
   // Fault-free probe: the measured iteration period anchors the schedule
   // shape so outages are a few iterations long, not a fixed wall-clock
@@ -268,14 +230,8 @@ int main(int argc, char** argv) {
                           "same seed replayed to a different ledger ("
                               << a.ledger_text.size() << " vs "
                               << b.ledger_text.size() << " bytes)");
-      {
-        std::istringstream in(a.ledger_text);
-        const trace::DecisionLedger parsed = analysis::read_ledger(in);
-        std::ostringstream re;
-        parsed.write_text(re);
-        AUTOPIPE_EXPECT_MSG(re.str() == a.ledger_text,
-                            "ledger does not round-trip through the reader");
-      }
+      AUTOPIPE_EXPECT_MSG(analysis::ledger_round_trips(a.ledger_text),
+                          "ledger does not round-trip through the reader");
 
       rows[s].cells = {std::to_string(seed),
                        std::to_string(fault_plan.size()),

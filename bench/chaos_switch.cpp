@@ -16,18 +16,18 @@
 //                     time-series); divergences dump artifacts
 //
 //   chaos_switch [--seeds=N] [--seed0=N] [--iterations=N] [--artifacts=DIR]
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/ledger_reader.hpp"
 #include "bench_common.hpp"
 #include "common/expect.hpp"
+#include "common/flags.hpp"
 #include "faults/switch_fault_plan.hpp"
+#include "scenario/artifacts.hpp"
 
 using namespace autopipe;
 
@@ -104,44 +104,28 @@ struct CellRun {
 
 CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
                  sim::EventQueueKind queue) {
-  sim::Simulator simulator(queue);
-  simulator.tracer().set_enabled(true);
-  simulator.ledger().set_enabled(true);
-  simulator.timeseries().configure(0.02);
-
-  sim::ClusterConfig config;
-  config.num_servers = kServers;
-  config.gpus_per_server = kGpusPerServer;
-  sim::Cluster cluster(simulator, config);
-
-  const auto model = models::alexnet();
-
-  pipeline::ExecutorConfig executor_config;
-  executor_config.framework = comm::pytorch_profile();
-  executor_config.sync_scheme = comm::SyncScheme::kRing;
+  scenario::Spec spec;
+  spec.queue = queue;
+  spec.sinks = {true, true, 0.02};
+  spec.cluster.num_servers = kServers;
+  spec.cluster.gpus_per_server = kGpusPerServer;
+  spec.job.model = models::alexnet();
   // Start from an even pipeline split (one stage per worker) rather than
   // the planner's single-stage data-parallel pick: with every layer
   // replicated everywhere a switch has nothing to move, and the Transfer
   // phase we want to crash would be empty.
-  std::vector<sim::WorkerId> workers(cluster.num_workers());
-  for (std::size_t w = 0; w < workers.size(); ++w)
-    workers[w] = static_cast<sim::WorkerId>(w);
-  pipeline::PipelineExecutor executor(
-      cluster, model,
-      partition::Partition::even_split(model.num_layers(), workers),
-      executor_config);
-
-  core::ControllerConfig cc;
-  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-  cc.use_meta_network = false;
+  spec.job.even_split = true;
+  spec.job.controller = scenario::default_controller();
   // Recovery (below) completes before the first retry fires, so a retried
   // attempt can actually succeed instead of re-hitting a dead participant.
-  cc.switch_retry_base_interval = 0.3;
-  core::AutoPipeController controller(cluster, executor, cc, nullptr,
-                                      nullptr);
-  controller.attach();
+  spec.job.controller->switch_retry_base_interval = 0.3;
+  spec.job.iterations = iterations;
+  spec.job.warmup = 5;
+  scenario::World world(std::move(spec));
+  world.launch();
+  pipeline::PipelineExecutor& executor = world.executor();
 
-  faults::SwitchFaultPlan switch_faults(cluster, executor);
+  faults::SwitchFaultPlan switch_faults(world.cluster(), executor);
   faults::SwitchCrashPoint point;
   point.phase = cell.phase;
   point.kind = cell.kind;
@@ -155,7 +139,7 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
   // the Transfer phase genuinely moves weights — requested mid-pipeline at
   // a seed-staggered instant.
   const double trigger = 0.08 + 0.004 * static_cast<double>(seed % 13);
-  simulator.after(
+  world.simulator().after(
       trigger,
       [&executor, mode = cell.mode] {
         const partition::Partition& cur = executor.current_partition();
@@ -171,8 +155,9 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
       },
       "chaos_switch_trigger");
 
-  const auto report = executor.run(iterations, /*warmup=*/5);
-  (void)report;
+  world.run();
+  const core::AutoPipeController& controller = *world.controller();
+  const sim::Simulator& simulator = world.simulator();
 
   CellRun out;
   out.stats = executor.fault_stats();
@@ -184,22 +169,13 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
   out.abandonments = controller.stats().switch_abandonments;
   out.shots = switch_faults.fired().size();
   out.layout_consistent = executor.weight_layout_consistent();
-  std::ostringstream ts;
-  simulator.tracer().write_text(ts);
-  out.trace_text = ts.str();
-  simulator.ledger().finalize("run_end");
   out.ledger_resolved = simulator.ledger().all_resolved();
-  std::ostringstream ls;
-  simulator.ledger().write_text(ls);
-  out.ledger_text = ls.str();
-  std::ostringstream ms;
-  for (const auto& [name, value] : simulator.metrics().all())
-    ms << name << "=" << trace::format_double(value) << "\n";
-  out.metrics_text = ms.str();
-  simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-  std::ostringstream tss;
-  simulator.timeseries().write_text(tss);
-  out.timeseries_text = tss.str();
+  using scenario::Artifact;
+  out.trace_text = scenario::artifact_text(simulator, Artifact::kTrace);
+  out.ledger_text = scenario::artifact_text(simulator, Artifact::kLedger);
+  out.metrics_text = scenario::artifact_text(simulator, Artifact::kMetrics);
+  out.timeseries_text =
+      scenario::artifact_text(simulator, Artifact::kTimeseries);
   return out;
 }
 
@@ -223,28 +199,6 @@ void dump_artifacts(const std::string& label, const CellRun& heap,
   write("wheel.timeseries", wheel.timeseries_text);
 }
 
-std::size_t flag(int argc, char** argv, const std::string& name,
-                 std::size_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return static_cast<std::size_t>(
-          std::strtoull(a.c_str() + prefix.size(), nullptr, 10));
-  }
-  return fallback;
-}
-
-std::string flag_str(int argc, char** argv, const std::string& name,
-                     const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return fallback;
-}
-
 bool aborts_switches(faults::FaultEvent::Kind kind) {
   // Stragglers and profiler dropouts degrade, but only participant loss
   // interrupts the protocol.
@@ -256,10 +210,12 @@ bool aborts_switches(faults::FaultEvent::Kind kind) {
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  const std::size_t seeds = flag(argc, argv, "seeds", 50);
-  const std::size_t seed0 = flag(argc, argv, "seed0", 1);
-  const std::size_t iterations = flag(argc, argv, "iterations", 30);
-  g_artifact_dir = flag_str(argc, argv, "artifacts", "");
+  const Flags flags(argc, argv);
+  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 50));
+  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
+  const auto iterations =
+      static_cast<std::size_t>(flags.get_int("iterations", 30));
+  g_artifact_dir = flags.get("artifacts", "");
 
   const std::vector<Cell> matrix = build_matrix();
   std::cout << "crash-point matrix: " << matrix.size() << " cells x " << seeds
@@ -316,14 +272,8 @@ int main(int argc, char** argv) {
               << " aborted");
       AUTOPIPE_EXPECT_MSG(heap.ledger_resolved,
                           "ledger left non-terminal records after finalize");
-      {
-        std::istringstream in(heap.ledger_text);
-        const trace::DecisionLedger parsed = analysis::read_ledger(in);
-        std::ostringstream re;
-        parsed.write_text(re);
-        AUTOPIPE_EXPECT_MSG(re.str() == heap.ledger_text,
-                            "ledger does not round-trip through the reader");
-      }
+      AUTOPIPE_EXPECT_MSG(analysis::ledger_round_trips(heap.ledger_text),
+                          "ledger does not round-trip through the reader");
 
       // 4. liveness — the crash point must have fired, and a participant
       // loss injected before Commit must have interrupted the attempt.

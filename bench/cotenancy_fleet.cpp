@@ -23,13 +23,9 @@
 #include <vector>
 
 #include "analysis/json.hpp"
-#include "cluster/job_manager.hpp"
-#include "cluster/jobs_spec.hpp"
-#include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
-#include "sim/cluster.hpp"
-#include "sim/simulator.hpp"
+#include "scenario/world.hpp"
 
 using namespace autopipe;
 
@@ -52,13 +48,10 @@ struct FleetOutcome {
 };
 
 FleetOutcome run_fleet(std::size_t njobs, const std::string& policy) {
-  sim::Simulator simulator;
-  simulator.tracer().set_enabled(true);
-
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_servers = kServers;
-  cluster_config.gpus_per_server = kGpusPerServer;
-  sim::Cluster cluster(simulator, cluster_config);
+  scenario::Spec spec;
+  spec.sinks.trace = true;
+  spec.cluster.num_servers = kServers;
+  spec.cluster.gpus_per_server = kGpusPerServer;
 
   // Mixed-model fleet with spread priorities so the three policies
   // genuinely disagree about winners.
@@ -69,7 +62,7 @@ FleetOutcome run_fleet(std::size_t njobs, const std::string& policy) {
   static constexpr double kPriorities[] = {1.0, 4.0, 2.0, 1.5};
   static constexpr std::size_t kIterations[] = {30, 15, 25, 20};
 
-  cluster::FleetSpec fleet;
+  cluster::FleetSpec& fleet = spec.fleet;
   fleet.arbiter = policy;
   for (std::size_t k = 0; k < njobs; ++k) {
     cluster::JobSpec job;
@@ -84,16 +77,16 @@ FleetOutcome run_fleet(std::size_t njobs, const std::string& policy) {
   preempt.at = 0.8;
   preempt.duration = 1.0;
   fleet.preempts.push_back(preempt);
-  cluster::assign_default_workers(fleet, cluster.num_workers());
 
-  cluster::JobManager manager(simulator, cluster, fleet);
+  scenario::World world(std::move(spec));
+  world.run();
 
   FleetOutcome out;
   out.jobs = njobs;
   out.policy = policy;
   out.label = "J" + std::to_string(njobs) + "." + policy;
-  out.report = manager.run();
-  for (const trace::Event& ev : simulator.tracer().events()) {
+  out.report = world.fleet_report();
+  for (const trace::Event& ev : world.simulator().tracer().events()) {
     if (ev.name != "arbiter_grant") continue;
     const std::string* worker = ev.find_arg("worker");
     if (worker != nullptr &&

@@ -10,7 +10,6 @@
 // With --artifacts, a diverging seed writes the heap and wheel trace /
 // ledger / metrics captures plus the first-divergence report into DIR so a
 // CI job can upload them.
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -18,32 +17,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/flags.hpp"
 #include "parity/differential.hpp"
 
 using namespace autopipe;
 
 namespace {
-
-std::size_t flag(int argc, char** argv, const std::string& name,
-                 std::size_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return static_cast<std::size_t>(
-          std::strtoull(a.c_str() + prefix.size(), nullptr, 10));
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
 
 void write_file(const std::filesystem::path& path, const std::string& text) {
   std::ofstream out(path);
@@ -77,9 +56,10 @@ struct SeedRow {
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  const std::size_t seeds = flag(argc, argv, "seeds", 12);
-  const std::size_t seed0 = flag(argc, argv, "seed0", 1);
-  const std::string artifacts = flag_string(argc, argv, "artifacts");
+  const Flags flags(argc, argv);
+  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 12));
+  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
+  const std::string artifacts = flags.get("artifacts", "");
 
   std::cout << "parity: heap (reference) vs wheel (candidate), " << seeds
             << " seeds from " << seed0 << "\n\n";

@@ -203,6 +203,13 @@ trace::DecisionLedger read_ledger(std::istream& is) {
   return ledger;
 }
 
+bool ledger_round_trips(const std::string& text) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  read_ledger(in).write_text(out);
+  return out.str() == text;
+}
+
 trace::DecisionLedger read_ledger_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open ledger file: " + path);

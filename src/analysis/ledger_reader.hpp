@@ -19,6 +19,10 @@ namespace autopipe::analysis {
 /// count disagreeing with the header).
 trace::DecisionLedger read_ledger(std::istream& is);
 
+/// Whether `text` parses and reserializes byte-identically. Throws like
+/// read_ledger() on malformed input.
+bool ledger_round_trips(const std::string& text);
+
 /// read_ledger() on a file; throws std::runtime_error when unreadable.
 trace::DecisionLedger read_ledger_file(const std::string& path);
 

@@ -1,12 +1,12 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "common/expect.hpp"
 #include "common/profile.hpp"
+#include "common/spec_lexer.hpp"
 
 namespace autopipe::faults {
 
@@ -311,18 +311,13 @@ void validate_event(const FaultEvent& ev, std::size_t line_no,
   }
 }
 
-FaultPlan parse_lines(std::istream& is, std::size_t num_servers,
+FaultPlan parse_lines(const std::string& text, std::size_t num_servers,
                       std::size_t gpus_per_server) {
   FaultPlan plan;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
+  for (const lex::Statement& line : lex::split_statements(text)) {
     Seconds t = 0.0;
-    FaultEvent ev = parse_event_line(line, line_no, t);
-    validate_event(ev, line_no, num_servers, gpus_per_server);
+    FaultEvent ev = parse_event_line(line.text, line.line, t);
+    validate_event(ev, line.line, num_servers, gpus_per_server);
     plan.at(t, ev);
   }
   return plan;
@@ -345,19 +340,11 @@ FaultPlan parse_random(const std::string& body, std::size_t num_servers,
     AUTOPIPE_EXPECT_MSG(!key.empty(), "fault spec: random entry "
                                           << entry_no << ": empty key in '"
                                           << kv << "'");
-    const std::string raw = kv.substr(eq + 1);
-    bool numeric = false;
-    double value = 0.0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(raw, &used);
-      numeric = used == raw.size();
-    } catch (const std::invalid_argument&) {
-    } catch (const std::out_of_range&) {
-    }
-    AUTOPIPE_EXPECT_MSG(numeric, "fault spec: random entry "
-                                     << entry_no << ": field '" << key
-                                     << "': bad number '" << raw << "'");
+    const double value = lex::parse_double(
+        kv.substr(eq + 1), {"fault spec: random entry " +
+                                std::to_string(entry_no) + ": field '" +
+                                key + "': ",
+                            ""});
     if (key == "seed") {
       spec.seed = static_cast<std::uint64_t>(value);
     } else if (key == "start") {
@@ -392,21 +379,16 @@ FaultPlan parse_random(const std::string& body, std::size_t num_servers,
 FaultPlan parse_spec(const std::string& spec, std::size_t num_servers,
                      std::size_t gpus_per_server) {
   AUTOPIPE_EXPECT_MSG(!spec.empty(), "empty fault spec");
-  if (spec[0] == '@') {
-    const std::string path = spec.substr(1);
-    std::ifstream in(path);
-    AUTOPIPE_EXPECT_MSG(in.good(),
-                        "cannot read fault schedule file " << path);
-    return parse_lines(in, num_servers, gpus_per_server);
-  }
   if (spec.rfind("random:", 0) == 0) {
     return parse_random(spec.substr(7), num_servers, gpus_per_server);
   }
-  // Inline schedule: ';' separates lines.
-  std::string text = spec;
-  std::replace(text.begin(), text.end(), ';', '\n');
-  std::istringstream is(text);
-  return parse_lines(is, num_servers, gpus_per_server);
+  std::string text;
+  AUTOPIPE_EXPECT_MSG(lex::load_text(spec, text),
+                      "cannot read fault schedule file " << spec.substr(1));
+  // Inline schedules number their ';'-separated events like the lines of a
+  // schedule file.
+  if (spec[0] != '@') std::replace(text.begin(), text.end(), ';', '\n');
+  return parse_lines(text, num_servers, gpus_per_server);
 }
 
 }  // namespace autopipe::faults

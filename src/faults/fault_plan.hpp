@@ -130,7 +130,8 @@ FaultPlan random_plan(const ChaosSpec& spec, std::size_t num_servers,
 ///        <time> straggler_end <worker>
 ///        <time> profiler_drop <worker>
 ///        <time> profiler_restore <worker>
-///    Blank lines and lines starting with '#' are ignored.
+///    '#' starts a comment that runs to the end of the line; blank lines
+///    are ignored and ';' also separates events.
 ///  * `random:key=value,...` — seeded ChaosSpec; keys: seed, start, clear,
 ///    gpus, links, flaps, stragglers, profiler_drops, min_outage,
 ///    max_outage.

@@ -5,18 +5,9 @@
 #include <sstream>
 #include <utility>
 
-#include "autopipe/controller.hpp"
-#include "cluster/job_manager.hpp"
-#include "cluster/jobs_spec.hpp"
-#include "comm/framework.hpp"
-#include "common/rng.hpp"
-#include "faults/fault_plan.hpp"
 #include "faults/switch_fault_plan.hpp"
-#include "models/zoo.hpp"
-#include "partition/pipedream_planner.hpp"
-#include "pipeline/executor.hpp"
-#include "sim/background.hpp"
-#include "sim/cluster.hpp"
+#include "scenario/artifacts.hpp"
+#include "scenario/world.hpp"
 
 namespace autopipe::parity {
 
@@ -58,34 +49,22 @@ partition::Partition rotate_workers(const partition::Partition& current) {
   return partition::Partition(std::move(stages), current.num_layers());
 }
 
-std::string metrics_text(const trace::MetricsRegistry& metrics) {
-  // The registry keeps names sorted, so this rendering is deterministic.
-  std::ostringstream os;
-  for (const auto& [name, value] : metrics.all())
-    os << name << "=" << trace::format_double(value) << "\n";
-  return os.str();
-}
-
 /// Serialize every observable artifact of a finished run.
-ScenarioResult collect_artifacts(sim::Simulator& simulator,
+ScenarioResult collect_artifacts(const sim::Simulator& simulator,
                                  std::vector<double> iteration_end_times) {
   ScenarioResult out;
   out.queue_name = simulator.queue_name();
   out.iteration_end_times = std::move(iteration_end_times);
   out.events_processed = simulator.events_processed();
   out.scheduled_events = simulator.events_scheduled();
-  std::ostringstream ts;
-  simulator.tracer().write_text(ts);
-  out.trace_text = ts.str();
-  simulator.ledger().finalize("run_end");
-  std::ostringstream ls;
-  simulator.ledger().write_text(ls);
-  out.ledger_text = ls.str();
-  out.metrics_text = metrics_text(simulator.metrics());
-  simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-  std::ostringstream tss;
-  simulator.timeseries().write_text(tss);
-  out.timeseries_text = tss.str();
+  out.trace_text =
+      scenario::artifact_text(simulator, scenario::Artifact::kTrace);
+  out.ledger_text =
+      scenario::artifact_text(simulator, scenario::Artifact::kLedger);
+  out.metrics_text =
+      scenario::artifact_text(simulator, scenario::Artifact::kMetrics);
+  out.timeseries_text =
+      scenario::artifact_text(simulator, scenario::Artifact::kTimeseries);
   std::ostringstream cs;
   for (const trace::Event& ev : simulator.tracer().events()) {
     if (ev.eid == 0) continue;
@@ -96,143 +75,57 @@ ScenarioResult collect_artifacts(sim::Simulator& simulator,
   return out;
 }
 
+/// Arm a seed-derived SwitchFaultPlan crash point and trigger a
+/// deterministic mid-run switch against it.
+void arm_mid_switch_fault(const ScenarioConfig& config, scenario::World& world,
+                          std::optional<faults::SwitchFaultPlan>& plan) {
+  static constexpr pipeline::SwitchPhase kPhases[] = {
+      pipeline::SwitchPhase::kPrepare, pipeline::SwitchPhase::kDrain,
+      pipeline::SwitchPhase::kTransfer, pipeline::SwitchPhase::kCommit};
+  static constexpr faults::FaultEvent::Kind kKinds[] = {
+      faults::FaultEvent::Kind::kGpuDown, faults::FaultEvent::Kind::kLinkDown,
+      faults::FaultEvent::Kind::kStragglerBegin,
+      faults::FaultEvent::Kind::kProfilerDrop};
+  faults::SwitchCrashPoint point;
+  point.phase = kPhases[config.seed % 4];
+  point.kind = kKinds[(config.seed / 4) % 4];
+  point.nth_attempt = 0;  // hit retries of the aborted switch too
+  point.max_shots = 4;    // bounded: commit-phase outages would otherwise
+                          // re-fire on every readmission commit, forever
+  point.recover_after = 0.1;
+  plan.emplace(world.cluster(), world.executor());
+  plan->add(point);
+
+  // Drain is a stop-the-world-only phase; otherwise let the seed pick.
+  using SwitchMode = pipeline::PipelineExecutor::SwitchMode;
+  const SwitchMode mode =
+      point.phase == pipeline::SwitchPhase::kDrain || config.seed % 2 == 0
+          ? SwitchMode::kStopTheWorld
+          : SwitchMode::kFineGrained;
+  pipeline::PipelineExecutor& executor = world.executor();
+  world.simulator().after(
+      0.12,
+      [&executor, mode] {
+        executor.request_switch(rotate_workers(executor.current_partition()),
+                                mode);
+      },
+      "parity_switch_trigger");
+}
+
 }  // namespace
 
 ScenarioResult run_scenario(const ScenarioConfig& config,
                             sim::EventQueueKind kind) {
-  sim::Simulator simulator(kind);
-  simulator.tracer().set_enabled(true);
-  simulator.ledger().set_enabled(true);
-  // Fine cadence relative to the ~0.8 s run so dozens of rows land between
-  // events; rows must be byte-identical across queue kinds.
-  simulator.timeseries().configure(0.02);
-
+  scenario::Spec spec;
+  spec.queue = kind;
+  // Fine time-series cadence relative to the ~0.8 s run so dozens of rows
+  // land between events; rows must be byte-identical across queue kinds.
+  spec.sinks = {true, true, 0.02};
   const std::size_t servers =
       config.fleet_jobs > 0 ? std::max(kServers, config.fleet_jobs)
                             : kServers;
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_servers = servers;
-  cluster_config.gpus_per_server = kGpusPerServer;
-  sim::Cluster cluster(simulator, cluster_config);
-
-  if (config.fleet_jobs > 0) {
-    // Co-tenant fleet: JobManager-driven jobs replace the single
-    // executor/controller pair; claim windows, arbiter decisions and
-    // contention aborts all land in the compared artifacts.
-    cluster::FleetSpec fleet;
-    static constexpr const char* kMix[] = {"alexnet", "resnet18"};
-    for (std::size_t k = 0; k < config.fleet_jobs; ++k) {
-      cluster::JobSpec job;
-      job.model = kMix[k % 2];
-      job.iterations = config.iterations;
-      job.warmup = config.warmup;
-      job.priority = 1.0 + static_cast<double>(k % 3);
-      fleet.jobs.push_back(std::move(job));
-    }
-    cluster::assign_default_workers(fleet, cluster.num_workers());
-
-    faults::FaultPlan fault_plan;
-    if (config.inject_faults) fault_plan = plan_for_seed(config.seed, servers);
-    fault_plan.install(simulator, cluster);
-
-    if (config.background_churn) {
-      sim::BackgroundWorkloadConfig bg;
-      bg.gpu_job_rate = 4.0;
-      bg.net_job_rate = 4.0;
-      bg.mean_gpu_job_duration = 0.2;
-      bg.mean_net_job_duration = 0.2;
-      bg.horizon = 1.0;
-      sim::BackgroundWorkload churn(
-          bg, Rng(config.seed ^ 0x9e3779b97f4a7c15ull));
-      churn.install(simulator, cluster);
-    }
-
-    cluster::JobManager manager(simulator, cluster, fleet);
-    manager.run();
-    std::vector<double> ends;
-    for (std::size_t i = 0; i < manager.num_jobs(); ++i) {
-      const auto& times = manager.job(i).report.iteration_end_times;
-      ends.insert(ends.end(), times.begin(), times.end());
-    }
-    return collect_artifacts(simulator, std::move(ends));
-  }
-
-  const auto model = models::alexnet();
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-  partition::PipeDreamPlanner planner(
-      model, env, model.default_batch_size(),
-      partition::PipeDreamPlanner::Mode::kCurrentEnvironment);
-  const auto plan = planner.plan(cluster.num_workers());
-
-  pipeline::ExecutorConfig executor_config;
-  executor_config.framework = comm::pytorch_profile();
-  executor_config.sync_scheme = comm::SyncScheme::kRing;
-  // The planner's pick for this testbed is single-stage data parallelism,
-  // where every worker replicates every layer and a switch has nothing to
-  // move. Mid-switch scenarios start from an even pipeline split instead so
-  // the Transfer phase carries real weight migrations to interrupt.
-  const partition::Partition initial =
-      config.mid_switch_faults
-          ? partition::Partition::even_split(
-                model.num_layers(),
-                [&] {
-                  std::vector<sim::WorkerId> workers(cluster.num_workers());
-                  for (std::size_t w = 0; w < workers.size(); ++w)
-                    workers[w] = static_cast<sim::WorkerId>(w);
-                  return workers;
-                }())
-          : plan.partition;
-  pipeline::PipelineExecutor executor(cluster, model, initial,
-                                      executor_config);
-
-  core::ControllerConfig cc;
-  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-  cc.use_meta_network = false;
-  core::AutoPipeController controller(cluster, executor, cc, nullptr,
-                                      nullptr);
-  controller.attach();
-
-  faults::FaultPlan fault_plan;
-  if (config.inject_faults) fault_plan = plan_for_seed(config.seed, servers);
-  fault_plan.install(simulator, cluster);
-
-  // The plan must outlive executor.run(): it holds the executor-side phase
-  // observer and the recovery events it schedules.
-  std::optional<faults::SwitchFaultPlan> switch_faults;
-  if (config.mid_switch_faults) {
-    static constexpr pipeline::SwitchPhase kPhases[] = {
-        pipeline::SwitchPhase::kPrepare, pipeline::SwitchPhase::kDrain,
-        pipeline::SwitchPhase::kTransfer, pipeline::SwitchPhase::kCommit};
-    static constexpr faults::FaultEvent::Kind kKinds[] = {
-        faults::FaultEvent::Kind::kGpuDown, faults::FaultEvent::Kind::kLinkDown,
-        faults::FaultEvent::Kind::kStragglerBegin,
-        faults::FaultEvent::Kind::kProfilerDrop};
-    faults::SwitchCrashPoint point;
-    point.phase = kPhases[config.seed % 4];
-    point.kind = kKinds[(config.seed / 4) % 4];
-    point.nth_attempt = 0;  // hit retries of the aborted switch too
-    point.max_shots = 4;    // bounded: commit-phase outages would otherwise
-                            // re-fire on every readmission commit, forever
-    point.recover_after = 0.1;
-    switch_faults.emplace(cluster, executor);
-    switch_faults->add(point);
-
-    // Drain is a stop-the-world-only phase; otherwise let the seed pick.
-    using SwitchMode = pipeline::PipelineExecutor::SwitchMode;
-    const SwitchMode mode =
-        point.phase == pipeline::SwitchPhase::kDrain || config.seed % 2 == 0
-            ? SwitchMode::kStopTheWorld
-            : SwitchMode::kFineGrained;
-    simulator.after(
-        0.12,
-        [&executor, mode] {
-          executor.request_switch(rotate_workers(executor.current_partition()),
-                                  mode);
-        },
-        "parity_switch_trigger");
-  }
-
+  spec.cluster.num_servers = servers;
+  spec.cluster.gpus_per_server = kGpusPerServer;
   if (config.background_churn) {
     // Rates scaled to the sub-second run the same way the fault plan is:
     // a handful of tenant arrivals and NIC cuts per run instead of the
@@ -243,14 +136,56 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
     bg.mean_gpu_job_duration = 0.2;
     bg.mean_net_job_duration = 0.2;
     bg.horizon = 1.0;
-    sim::BackgroundWorkload churn(
-        bg, Rng(config.seed ^ 0x9e3779b97f4a7c15ull));
-    churn.install(simulator, cluster);
+    spec.churn = bg;
+    spec.seed = config.seed ^ 0x9e3779b97f4a7c15ull;
+  }
+  if (config.inject_faults)
+    spec.fault_plan = plan_for_seed(config.seed, servers);
+
+  if (config.fleet_jobs > 0) {
+    // Co-tenant fleet: JobManager-driven jobs replace the single
+    // executor/controller pair; claim windows, arbiter decisions and
+    // contention aborts all land in the compared artifacts.
+    static constexpr const char* kMix[] = {"alexnet", "resnet18"};
+    for (std::size_t k = 0; k < config.fleet_jobs; ++k) {
+      cluster::JobSpec job;
+      job.model = kMix[k % 2];
+      job.iterations = config.iterations;
+      job.warmup = config.warmup;
+      job.priority = 1.0 + static_cast<double>(k % 3);
+      spec.fleet.jobs.push_back(std::move(job));
+    }
+    scenario::World world(std::move(spec));
+    world.run();
+    std::vector<double> ends;
+    for (std::size_t i = 0; i < world.manager().num_jobs(); ++i) {
+      const auto& times = world.manager().job(i).report.iteration_end_times;
+      ends.insert(ends.end(), times.begin(), times.end());
+    }
+    return collect_artifacts(world.simulator(), std::move(ends));
   }
 
-  const auto report = executor.run(config.iterations, config.warmup);
-
-  return collect_artifacts(simulator, report.iteration_end_times);
+  spec.job.model = models::alexnet();
+  spec.job.planner_mode =
+      partition::PipeDreamPlanner::Mode::kCurrentEnvironment;
+  // The planner's pick for this testbed is single-stage data parallelism,
+  // where every worker replicates every layer and a switch has nothing to
+  // move. Mid-switch scenarios start from an even pipeline split instead so
+  // the Transfer phase carries real weight migrations to interrupt.
+  spec.job.even_split = config.mid_switch_faults;
+  spec.job.controller = scenario::default_controller();
+  spec.job.iterations = config.iterations;
+  spec.job.warmup = config.warmup;
+  scenario::World world(std::move(spec));
+  world.launch();
+  // The plan must outlive the run: it holds the executor-side phase
+  // observer and the recovery events it schedules.
+  std::optional<faults::SwitchFaultPlan> switch_faults;
+  if (config.mid_switch_faults)
+    arm_mid_switch_fault(config, world, switch_faults);
+  world.run();
+  return collect_artifacts(world.simulator(),
+                           world.report().iteration_end_times);
 }
 
 namespace {

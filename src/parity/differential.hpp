@@ -53,7 +53,7 @@ struct ScenarioResult {
   std::string queue_name;
   std::string trace_text;    ///< full event trace, text form
   std::string ledger_text;   ///< finalized decision ledger, text form
-  std::string metrics_text;  ///< sorted name=value metric lines
+  std::string metrics_text;  ///< flattened metrics registry, JSON
   /// autopipe-ts-v1 metric time-series sampled at a fixed cadence during
   /// the run — covers the TimeSeriesSampler in the parity contract.
   std::string timeseries_text;

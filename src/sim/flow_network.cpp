@@ -14,8 +14,6 @@ namespace {
 /// absorb floating-point division noise in remaining/rate arithmetic.
 constexpr Seconds kTimeEps = 1e-12;
 constexpr Bytes kByteEps = 1e-6;
-/// Snapshot share of a resource no flow crossed at the last full rating.
-constexpr double kUnconstrained = std::numeric_limits<double>::infinity();
 }  // namespace
 
 ResourceId FlowNetwork::add_resource(std::string name, BytesPerSec capacity) {
@@ -83,17 +81,6 @@ const std::string& FlowNetwork::resource_name(ResourceId resource) const {
   return res_name_[resource];
 }
 
-void FlowNetwork::set_approximate_mode(bool on, double epsilon) {
-  AUTOPIPE_EXPECT(epsilon > 0.0);
-  advance_to_now();
-  approx_ = on;
-  approx_eps_ = epsilon;
-  snap_valid_ = false;  // next rating pass is a full one in either mode
-  recompute_rates();
-  schedule_next_completion();
-  emit_loads();
-}
-
 std::size_t FlowNetwork::find_slot(FlowId id) const {
   const auto it = std::lower_bound(flow_id_.begin(), flow_id_.end(), id);
   if (it == flow_id_.end() || *it != id) return kNoSlot;
@@ -139,11 +126,10 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
                               {trace::arg("bytes", spec.bytes),
                                trace::arg("path", std::move(path_names))});
   }
-  // Ids are monotone, so push_back keeps the slot arrays sorted. The -1
-  // rate marks the flow as not-yet-rated for the approximate pass.
+  // Ids are monotone, so push_back keeps the slot arrays sorted.
   flow_id_.push_back(id);
   flow_remaining_.push_back(spec.bytes);
-  flow_rate_.push_back(-1.0);
+  flow_rate_.push_back(0.0);
   flow_path_.push_back(std::move(spec.path));
   flow_on_complete_.push_back(std::move(spec.on_complete));
   recompute_rates();
@@ -203,14 +189,6 @@ void FlowNetwork::advance_to_now() {
 }
 
 void FlowNetwork::recompute_rates() {
-  if (approx_) {
-    approx_rerate();
-  } else {
-    exact_rerate();
-  }
-}
-
-void FlowNetwork::exact_rerate() {
   // Progressive filling: repeatedly find the resource whose fair share
   // (remaining capacity / unfrozen flows through it) is smallest, pin every
   // unfrozen flow through it to that share, and deduct.
@@ -272,70 +250,6 @@ void FlowNetwork::exact_rerate() {
       }
     }
     scratch_unfrozen_.resize(kept);
-  }
-}
-
-void FlowNetwork::approx_rerate() {
-  // Snapshot/drift scheme: a full single-pass rating assigns every flow the
-  // minimum fair share (capacity / live count) along its path and snapshots
-  // each contended resource's share. Subsequent membership changes re-rate
-  // only the fresh flows — from live shares, so a new flow never sees an
-  // unconstrained path — until some resource's live share drifts more than
-  // approx_eps_ (relative) from its snapshot. A full pass never
-  // oversubscribes (each flow takes at most the fair share of every
-  // resource it crosses); between passes the stale rates are off by at most
-  // the drift bound.
-  const std::size_t n = res_capacity_.size();
-  if (scratch_count_.size() < n) scratch_count_.resize(n);
-  if (snap_share_.size() < n) {
-    snap_share_.resize(n, kUnconstrained);
-    snap_valid_ = false;  // a new resource invalidates the snapshot
-  }
-  const std::size_t flows = flow_id_.size();
-  for (std::size_t r = 0; r < n; ++r) scratch_count_[r] = 0;
-  for (std::size_t s = 0; s < flows; ++s)
-    for (ResourceId r : flow_path_[s]) ++scratch_count_[r];
-
-  bool needs_full = !snap_valid_;
-  for (std::size_t r = 0; !needs_full && r < n; ++r) {
-    const std::size_t count = scratch_count_[r];
-    if (count == 0) continue;  // nothing flows here: no rate to be wrong
-    const double snap = snap_share_[r];
-    if (snap == kUnconstrained) {
-      needs_full = true;  // newly contended resource was never rated
-      break;
-    }
-    const double share = res_capacity_[r] / static_cast<double>(count);
-    if (std::abs(share - snap) > approx_eps_ * snap) needs_full = true;
-  }
-
-  if (needs_full) {
-    for (std::size_t r = 0; r < n; ++r) {
-      snap_share_[r] = scratch_count_[r] == 0
-                           ? kUnconstrained
-                           : res_capacity_[r] /
-                                 static_cast<double>(scratch_count_[r]);
-    }
-    for (std::size_t s = 0; s < flows; ++s) {
-      double rate = kUnconstrained;
-      for (ResourceId r : flow_path_[s]) rate = std::min(rate, snap_share_[r]);
-      flow_rate_[s] = rate;  // path is non-empty, so rate is finite
-    }
-    snap_valid_ = true;
-    return;
-  }
-
-  ++approx_skipped_;
-  // Rate only flows the full pass has not seen (the -1 sentinel), from live
-  // shares so their own claim is counted.
-  for (std::size_t s = 0; s < flows; ++s) {
-    if (flow_rate_[s] >= 0.0) continue;
-    double rate = kUnconstrained;
-    for (ResourceId r : flow_path_[s]) {
-      rate = std::min(rate, res_capacity_[r] /
-                                static_cast<double>(scratch_count_[r]));
-    }
-    flow_rate_[s] = rate;
   }
 }
 

@@ -103,22 +103,6 @@ class FlowNetwork {
   const std::string& resource_name(ResourceId resource) const;
   std::size_t resource_count() const { return res_capacity_.size(); }
 
-  /// Opt-in approximate rating. Exact mode (the default) runs progressive
-  /// filling on every membership or capacity change. Approximate mode keeps
-  /// a snapshot of each contended resource's fair share (capacity / flow
-  /// count) from the last full rating and only re-rates everything when
-  /// some resource's live share drifts more than `epsilon` (relative) from
-  /// its snapshot; otherwise freshly started flows are rated single-pass
-  /// from live shares and existing rates are left stale. Rates are then a
-  /// bounded approximation of max-min: a full pass never oversubscribes a
-  /// resource, and between full passes the stale allocation is off by
-  /// O(epsilon). Deterministic either way — see docs/SIMULATOR.md.
-  void set_approximate_mode(bool on, double epsilon = 0.05);
-  bool approximate_mode() const { return approx_; }
-  double approximate_epsilon() const { return approx_eps_; }
-  /// Number of full rating passes skipped thanks to approximate mode.
-  std::uint64_t approx_rerates_skipped() const { return approx_skipped_; }
-
  private:
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
@@ -130,11 +114,9 @@ class FlowNetwork {
   /// Integrate flow progress from last_update_ to now at current rates.
   void advance_to_now();
 
-  /// Re-rate every flow after a membership or capacity change: progressive
-  /// filling in exact mode, the snapshot/drift scheme in approximate mode.
+  /// Re-rate every flow after a membership or capacity change (progressive
+  /// filling).
   void recompute_rates();
-  void exact_rerate();
-  void approx_rerate();
 
   /// (Re)schedule the single next-completion event.
   void schedule_next_completion();
@@ -172,13 +154,6 @@ class FlowNetwork {
   std::vector<std::uint32_t> scratch_unfrozen_;
   /// Generation counter invalidating superseded completion events.
   std::uint64_t schedule_generation_ = 0;
-
-  // Approximate-mode state.
-  bool approx_ = false;
-  double approx_eps_ = 0.05;
-  bool snap_valid_ = false;
-  std::vector<double> snap_share_;  ///< fair share at last full rating
-  std::uint64_t approx_skipped_ = 0;
 };
 
 /// Sentinel "never" time used for flows with zero rate.

@@ -1,281 +1,107 @@
 #include "sweep/runner.hpp"
 
 #include <chrono>
-#include <fstream>
-#include <memory>
-#include <sstream>
-#include <stdexcept>
+#include <exception>
 
-#include "analysis/json.hpp"
-#include "autopipe/controller.hpp"
-#include "cluster/job_manager.hpp"
-#include "cluster/jobs_spec.hpp"
-#include "common/expect.hpp"
-#include "common/stats.hpp"
-#include "faults/fault_plan.hpp"
+#include "common/spec_lexer.hpp"
 #include "models/zoo.hpp"
-#include "partition/pipedream_planner.hpp"
-#include "pipeline/executor.hpp"
-#include "sim/background.hpp"
-#include "sim/cluster.hpp"
+#include "pipeline/schedule.hpp"
+#include "scenario/artifacts.hpp"
+#include "scenario/world.hpp"
 
 namespace autopipe::sweep {
 
 namespace {
 
-pipeline::ScheduleMode schedule_by_name(const std::string& name) {
-  if (name == "1f1b") return pipeline::ScheduleMode::kAsync1F1B;
-  if (name == "gpipe") return pipeline::ScheduleMode::kGPipe;
-  if (name == "dapple") return pipeline::ScheduleMode::kDapple;
-  if (name == "chimera") return pipeline::ScheduleMode::kChimera;
-  if (name == "2bw") return pipeline::ScheduleMode::kTwoBW;
-  throw contract_error("unknown schedule: " + name);
+/// The scenario as the assembler's spec. Fleet jobs cycle the job-models
+/// mix (falling back to the scenario's single model).
+scenario::Spec to_scenario(const ScenarioSpec& s,
+                           const ArtifactOptions& artifacts) {
+  scenario::Spec spec;
+  spec.cluster.num_servers = s.servers;
+  spec.cluster.gpus_per_server = s.gpus_per_server;
+  spec.cluster.nic_bandwidth = gbps(s.bandwidth_gbps);
+  spec.extra_tenants = s.extra_jobs;
+  if (s.churn) spec.churn = scenario::default_churn();
+  spec.seed = s.seed;
+  spec.faults = s.faults;
+
+  if (s.jobs > 1) {
+    std::vector<std::string> mix;
+    for (const std::string& part : lex::split(s.job_models, '+')) {
+      const std::string name = lex::trim(part);
+      if (!name.empty()) mix.push_back(name);
+    }
+    if (mix.empty()) mix.push_back(s.model);
+    spec.fleet.arbiter = s.arbiter;
+    for (std::size_t k = 0; k < s.jobs; ++k) {
+      cluster::JobSpec job;
+      job.model = mix[k % mix.size()];
+      job.iterations = s.iterations;
+      job.warmup = s.warmup;
+      spec.fleet.jobs.push_back(std::move(job));
+    }
+  } else {
+    spec.job.model = models::model_by_name(s.model);
+    spec.job.even_split = s.system == "even";
+    spec.job.executor.mode = pipeline::schedule_by_name(s.schedule);
+    spec.job.executor.micro_batches = s.micro_batches;
+    if (s.system == "autopipe")
+      spec.job.controller = scenario::default_controller();
+    spec.job.iterations = s.iterations;
+    spec.job.warmup = s.warmup;
+  }
+
+  if (!artifacts.directory.empty()) {
+    spec.sinks.trace = true;
+    spec.sinks.ledger = s.jobs > 1 || s.system == "autopipe";
+    spec.sinks.timeseries_interval = artifacts.timeseries_interval;
+  }
+  return spec;
 }
 
-/// Shared artifact emission: trace, flattened metrics, optional ledger and
-/// time series, under `<directory>/<label>.*`.
-void emit_artifacts(sim::Simulator& simulator, const std::string& label,
-                    const ArtifactOptions& artifacts, bool with_ledger,
-                    ScenarioResult& result) {
+/// Trace, flattened metrics, and (when recorded) ledger and time series,
+/// under `<directory>/<label>.*`.
+void emit_artifacts(const scenario::World& world, const std::string& label,
+                    const ArtifactOptions& artifacts, ScenarioResult& result) {
   const std::string base = artifacts.directory + "/" + label;
-  const auto open = [](const std::string& path) {
-    std::ofstream out(path);
-    if (!out.good())
-      throw std::runtime_error("cannot open artifact file: " + path);
-    return out;
-  };
-  {
-    auto out = open(base + ".trace");
-    simulator.tracer().write_text(out);
-    result.trace_file = base + ".trace";
-  }
-  {
-    auto out = open(base + ".metrics.json");
-    analysis::write_scalar_map_json(simulator.metrics().flattened(), out);
-    result.metrics_file = base + ".metrics.json";
-  }
-  if (with_ledger) {
-    simulator.ledger().finalize("run_end");
-    auto out = open(base + ".ledger");
-    simulator.ledger().write_text(out);
-    result.ledger_file = base + ".ledger";
-  }
-  if (simulator.timeseries().enabled()) {
-    simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-    auto out = open(base + ".ts");
-    simulator.timeseries().write_text(out);
-    result.timeseries_file = base + ".ts";
-  }
-}
-
-/// The per-job model cycle of a fleet scenario: job-models entries cycled
-/// across jobs, falling back to the scenario's single model.
-std::vector<std::string> fleet_model_cycle(const ScenarioSpec& spec) {
-  std::vector<std::string> mix;
-  std::istringstream parts(spec.job_models);
-  std::string part;
-  while (std::getline(parts, part, '+')) {
-    // Trim (the spec parser validated the names already).
-    const std::size_t b = part.find_first_not_of(" \t");
-    const std::size_t e = part.find_last_not_of(" \t");
-    if (b != std::string::npos) mix.push_back(part.substr(b, e - b + 1));
-  }
-  if (mix.empty()) mix.push_back(spec.model);
-  return mix;
-}
-
-/// Co-tenant scenario: spec.jobs independent AutoPipe jobs on one cluster,
-/// driven by a JobManager (src/cluster/) under the scenario's arbiter.
-void run_fleet_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
-                    ScenarioResult& result) {
-  const bool emit = !artifacts.directory.empty();
-
-  sim::Simulator simulator;
-  if (emit) {
-    simulator.tracer().set_enabled(true);
-    simulator.ledger().set_enabled(true);
-    if (artifacts.timeseries_interval > 0.0)
-      simulator.timeseries().configure(artifacts.timeseries_interval);
-  }
-
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_servers = spec.servers;
-  cluster_config.gpus_per_server = spec.gpus_per_server;
-  cluster_config.nic_bandwidth = gbps(spec.bandwidth_gbps);
-  sim::Cluster cluster(simulator, cluster_config);
-
-  for (int j = 0; j < spec.extra_jobs; ++j)
-    for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w)
-      cluster.add_background_job(w);
-
-  sim::BackgroundWorkload churn(
-      [] {
-        sim::BackgroundWorkloadConfig config;
-        config.horizon = 600.0;
-        return config;
-      }(),
-      Rng(spec.seed));
-  if (spec.churn) churn.install(simulator, cluster);
-
-  faults::FaultPlan fault_plan;
-  if (!spec.faults.empty()) {
-    fault_plan = faults::parse_spec(spec.faults, spec.servers,
-                                    spec.gpus_per_server);
-    fault_plan.install(simulator, cluster);
-  }
-
-  cluster::FleetSpec fleet;
-  fleet.arbiter = spec.arbiter;
-  const auto mix = fleet_model_cycle(spec);
-  for (std::size_t k = 0; k < spec.jobs; ++k) {
-    cluster::JobSpec job;
-    job.model = mix[k % mix.size()];
-    job.iterations = spec.iterations;
-    job.warmup = spec.warmup;
-    fleet.jobs.push_back(std::move(job));
-  }
-  cluster::assign_default_workers(fleet, cluster.num_workers());
-
-  cluster::JobManager manager(simulator, cluster, fleet);
-  const cluster::FleetReport fleet_report = manager.run();
-
-  result.throughput = fleet_report.fleet_throughput;
-  result.fleet_jain = fleet_report.jain;
-  result.fleet_conflicts = fleet_report.conflicts;
-  result.fleet_grants = fleet_report.grants;
-  result.fleet_contention_aborts = fleet_report.contention_aborts;
-  result.events = simulator.events_processed();
-  result.batch = manager.job(0).executor->batch_size();
-
-  double utilization = 0.0;
-  Histogram iteration_times;
-  for (std::size_t i = 0; i < manager.num_jobs(); ++i) {
-    const cluster::JobRuntime& job = manager.job(i);
-    utilization += job.report.worker_utilization;
-    result.switches += job.executor->switches_performed();
-    result.switch_aborts += job.executor->switches_aborted();
-    result.job_throughputs.push_back(job.report.throughput);
-    const auto& ends = job.report.iteration_end_times;
-    for (std::size_t n = spec.warmup + 1; n < ends.size(); ++n)
-      iteration_times.add(ends[n] - ends[n - 1]);
-  }
-  result.utilization = utilization / static_cast<double>(manager.num_jobs());
-  if (!iteration_times.empty()) {
-    const Histogram::Summary s = iteration_times.summary();
-    result.iteration_p50_ms = s.p50 * 1e3;
-    result.iteration_p95_ms = s.p95 * 1e3;
-    result.iteration_p99_ms = s.p99 * 1e3;
-  }
-
-  if (emit) emit_artifacts(simulator, spec.label, artifacts, true, result);
+  const scenario::Sinks& sinks = world.spec().sinks;
+  scenario::OutputPaths paths;
+  paths.trace = base + ".trace";
+  paths.metrics = base + ".metrics.json";
+  if (sinks.ledger) paths.ledger = base + ".ledger";
+  if (sinks.timeseries_interval > 0.0) paths.timeseries = base + ".ts";
+  scenario::write_outputs(world.simulator(), paths);
+  result.trace_file = paths.trace;
+  result.metrics_file = paths.metrics;
+  result.ledger_file = paths.ledger;
+  result.timeseries_file = paths.timeseries;
 }
 
 void run_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
               ScenarioResult& result) {
+  scenario::World world(to_scenario(spec, artifacts));
+  const scenario::Summary s = world.run();
+  result.throughput = s.throughput;
+  result.utilization = s.utilization;
+  result.batch = s.batch;
+  result.switches = s.switches;
+  result.switch_aborts = s.switch_aborts;
+  result.events = s.events;
+  result.iteration_p50_ms = s.iteration_p50_ms;
+  result.iteration_p95_ms = s.iteration_p95_ms;
+  result.iteration_p99_ms = s.iteration_p99_ms;
   if (spec.jobs > 1) {
-    run_fleet_body(spec, artifacts, result);
-    return;
+    const cluster::FleetReport& fleet = world.fleet_report();
+    result.fleet_jain = fleet.jain;
+    result.fleet_conflicts = fleet.conflicts;
+    result.fleet_grants = fleet.grants;
+    result.fleet_contention_aborts = fleet.contention_aborts;
+    for (const auto& job : fleet.jobs)
+      result.job_throughputs.push_back(job.report.throughput);
   }
-  const bool emit = !artifacts.directory.empty();
-  const auto model = models::model_by_name(spec.model);
-
-  sim::Simulator simulator;
-  if (emit) {
-    simulator.tracer().set_enabled(true);
-    if (spec.system == "autopipe") simulator.ledger().set_enabled(true);
-    if (artifacts.timeseries_interval > 0.0)
-      simulator.timeseries().configure(artifacts.timeseries_interval);
-  }
-
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_servers = spec.servers;
-  cluster_config.gpus_per_server = spec.gpus_per_server;
-  cluster_config.nic_bandwidth = gbps(spec.bandwidth_gbps);
-  sim::Cluster cluster(simulator, cluster_config);
-
-  for (int j = 0; j < spec.extra_jobs; ++j)
-    for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w)
-      cluster.add_background_job(w);
-
-  // The churn schedule is pre-materialized at install time from an Rng
-  // seeded by the scenario alone; the workload object outlives the run.
-  sim::BackgroundWorkload churn(
-      [] {
-        sim::BackgroundWorkloadConfig config;
-        config.horizon = 600.0;
-        return config;
-      }(),
-      Rng(spec.seed));
-  if (spec.churn) churn.install(simulator, cluster);
-
-  faults::FaultPlan fault_plan;
-  if (!spec.faults.empty()) {
-    fault_plan = faults::parse_spec(spec.faults, spec.servers,
-                                    spec.gpus_per_server);
-    fault_plan.install(simulator, cluster);
-  }
-
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-  partition::PipeDreamPlanner planner(model, env,
-                                      model.default_batch_size());
-  const auto plan = planner.plan(cluster.num_workers());
-  const auto partition =
-      spec.system == "even"
-          ? partition::Partition::even_split(
-                model.num_layers(),
-                [&] {
-                  std::vector<sim::WorkerId> all(cluster.num_workers());
-                  for (sim::WorkerId w = 0; w < all.size(); ++w) all[w] = w;
-                  return all;
-                }())
-          : plan.partition;
-
-  pipeline::ExecutorConfig executor_config;
-  executor_config.framework = comm::pytorch_profile();
-  executor_config.sync_scheme = comm::SyncScheme::kRing;
-  executor_config.mode = schedule_by_name(spec.schedule);
-  executor_config.micro_batches = spec.micro_batches;
-  pipeline::PipelineExecutor executor(cluster, model, partition,
-                                      executor_config);
-
-  std::unique_ptr<core::AutoPipeController> controller;
-  if (spec.system == "autopipe") {
-    core::ControllerConfig cc;
-    cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-    cc.use_meta_network = false;
-    controller = std::make_unique<core::AutoPipeController>(
-        cluster, executor, cc, nullptr, nullptr);
-    controller->attach();
-    executor.set_iteration_callback(
-        [&](std::size_t iters) { controller->on_iteration(iters); });
-  }
-
-  const auto report = executor.run(spec.iterations, spec.warmup);
-
-  result.throughput = report.throughput;
-  result.utilization = report.worker_utilization;
-  result.batch = executor.batch_size();
-  result.switches = executor.switches_performed();
-  result.switch_aborts = executor.switches_aborted();
-  result.events = simulator.events_processed();
-
-  Histogram iteration_times;
-  for (std::size_t i = spec.warmup + 1;
-       i < report.iteration_end_times.size(); ++i) {
-    iteration_times.add(report.iteration_end_times[i] -
-                        report.iteration_end_times[i - 1]);
-  }
-  if (!iteration_times.empty()) {
-    const Histogram::Summary s = iteration_times.summary();
-    result.iteration_p50_ms = s.p50 * 1e3;
-    result.iteration_p95_ms = s.p95 * 1e3;
-    result.iteration_p99_ms = s.p99 * 1e3;
-  }
-
-  if (emit)
-    emit_artifacts(simulator, spec.label, artifacts,
-                   spec.system == "autopipe", result);
+  if (!artifacts.directory.empty())
+    emit_artifacts(world, spec.label, artifacts, result);
 }
 
 }  // namespace

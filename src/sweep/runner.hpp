@@ -1,6 +1,6 @@
 // One scenario, run in isolation. Every run_scenario call builds its own
-// Simulator / Cluster / planner / executor / controller from the
-// ScenarioSpec alone — no shared mutable state, no environmental input —
+// scenario::World (simulator, cluster, planner, executor, controller) from
+// the ScenarioSpec alone — no shared mutable state, no environmental input —
 // so scenarios are both bit-reproducible (seeded Rng streams derived from
 // spec.seed) and safe to run concurrently from the sweep engine's pool.
 #pragma once

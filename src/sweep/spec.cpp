@@ -3,57 +3,26 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/expect.hpp"
+#include "common/spec_lexer.hpp"
 #include "models/zoo.hpp"
 
 namespace autopipe::sweep {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(s);
-  while (std::getline(is, item, sep)) out.push_back(item);
-  return out;
-}
+using lex::trim;
 
 double parse_double(const std::string& key, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    AUTOPIPE_EXPECT_MSG(pos == v.size(), "sweep spec: bad number '"
-                                             << v << "' for key '" << key
-                                             << "'");
-    return d;
-  } catch (const contract_error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw contract_error("sweep spec: bad number '" + v + "' for key '" +
-                         key + "'");
-  }
+  return lex::parse_double(v, {"sweep spec: ", "key '" + key + "'"});
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  const double d = parse_double(key, v);
-  AUTOPIPE_EXPECT_MSG(d >= 0 && d == static_cast<double>(
-                                        static_cast<std::uint64_t>(d)),
-                      "sweep spec: key '" << key
-                                          << "' wants a non-negative "
-                                             "integer, got '" << v << "'");
-  return static_cast<std::uint64_t>(d);
+  return lex::parse_u64(v, {"sweep spec: ", "key '" + key + "'"});
 }
 
 /// Seeds accept `lo..hi` inclusive ranges alongside plain values.
@@ -158,30 +127,13 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
 
 SweepSpec parse_sweep_spec(const std::string& text) {
   SweepSpec spec;
-  // Newlines and ';' both end a statement, so inline one-liner specs work.
-  // '#' comments run to end of *line* and are stripped first, so a ';'
-  // inside prose never starts a phantom statement. Each statement keeps its
-  // source line number for diagnostics.
-  std::vector<std::pair<std::size_t, std::string>> statements;
-  {
-    std::size_t line_no = 0;
-    for (std::string chunk : split(text, '\n')) {
-      ++line_no;
-      const std::size_t hash = chunk.find('#');
-      if (hash != std::string::npos) chunk.resize(hash);
-      for (const std::string& stmt : split(chunk, ';'))
-        statements.emplace_back(line_no, stmt);
-    }
-  }
-
   // First line each key appeared on. A repeated key used to be silently
   // last-wins — a hard-to-spot way to lose half a sweep — so it is now a
   // parse error naming both occurrences.
   std::map<std::string, std::size_t> seen;
 
-  for (const auto& [line_no, raw] : statements) {
+  for (const auto& [line_no, raw] : lex::split_statements(text)) {
     const std::string line = trim(raw);
-    if (line.empty()) continue;
     const std::size_t eq = line.find('=');
     AUTOPIPE_EXPECT_MSG(eq != std::string::npos,
                         "sweep spec: expected 'key = value', got '" << line
@@ -195,7 +147,7 @@ SweepSpec parse_sweep_spec(const std::string& text) {
     }
     seen.emplace(key, line_no);
     std::vector<std::string> values;
-    for (const std::string& v : split(line.substr(eq + 1), ','))
+    for (const std::string& v : lex::split(line.substr(eq + 1), ','))
       values.push_back(trim(v));
     AUTOPIPE_EXPECT_MSG(!values.empty() && !values[0].empty(),
                         "sweep spec: key '" << key << "' has no values");
@@ -315,16 +267,10 @@ SweepSpec parse_sweep_spec(const std::string& text) {
 }
 
 SweepSpec load_sweep_spec(const std::string& arg) {
-  if (!arg.empty() && arg[0] == '@') {
-    const std::string path = arg.substr(1);
-    std::ifstream in(path);
-    if (!in.good())
-      throw std::runtime_error("cannot read sweep spec file: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse_sweep_spec(text.str());
-  }
-  return parse_sweep_spec(arg);
+  std::string text;
+  if (!lex::load_text(arg, text))
+    throw std::runtime_error("cannot read sweep spec file: " + arg.substr(1));
+  return parse_sweep_spec(text);
 }
 
 }  // namespace autopipe::sweep

@@ -217,8 +217,11 @@ TEST_P(CotenancySeeds, FleetInvariantsHoldThroughout) {
 
   std::size_t probes = 0;
   std::vector<std::string> violations;
-  auto probe = std::make_shared<std::function<void()>>();
-  *probe = [&manager, &cluster, &simulator, &probes, &violations, probe] {
+  // The probe lives on this frame for the whole run; the events it
+  // schedules refer to it rather than share ownership of it, so nothing
+  // keeps it alive in a cycle.
+  std::function<void()> probe;
+  probe = [&manager, &cluster, &simulator, &probes, &violations, &probe] {
     ++probes;
     const std::string v =
         fleet_invariant_violation(manager, cluster.num_workers());
@@ -227,9 +230,9 @@ TEST_P(CotenancySeeds, FleetInvariantsHoldThroughout) {
       os << "t=" << simulator.now() << ": " << v;
       violations.push_back(os.str());
     }
-    simulator.after(0.05, [probe] { (*probe)(); }, "invariant_probe");
+    simulator.after(0.05, [&probe] { probe(); }, "invariant_probe");
   };
-  simulator.after(0.01, [probe] { (*probe)(); }, "invariant_probe");
+  simulator.after(0.01, [&probe] { probe(); }, "invariant_probe");
 
   const FleetReport report = manager.run();
 

@@ -20,8 +20,10 @@
 #include "common/ledger.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "faults/switch_fault_plan.hpp"
 #include "models/zoo.hpp"
 #include "pipeline/executor.hpp"
+#include "scenario/world.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
@@ -284,8 +286,49 @@ TEST(Calibration, SwitchCostJoinAgainstLiveTrace) {
   EXPECT_GT(joinable, 0u);
   EXPECT_EQ(report.cost_joined, joinable);
   for (const analysis::CalibrationRow& row : report.rows) {
-    if (row.cost_actual >= 0.0) EXPECT_GE(row.cost_pred, 0.0);
+    if (row.cost_actual >= 0.0) {
+      EXPECT_GE(row.cost_pred, 0.0);
+    }
   }
+}
+
+TEST(Calibration, OutcomeCountsReconcileWithAbortedSwitches) {
+  // A mid-switch crash point on every attempt (the chaos_switch matrix's
+  // Transfer × gpu_down cell): the controller's own switches abort, retry
+  // and are abandoned, so the ledger carries aborted_* outcomes. Every
+  // record is counted exactly once.
+  scenario::Spec spec;
+  spec.cluster.nic_bandwidth = gbps(25);
+  spec.sinks.ledger = true;
+  spec.job.model = models::vgg16();
+  spec.job.controller = scenario::default_controller();
+  spec.job.iterations = 80;
+  spec.job.warmup = 10;
+  scenario::World world(spec);
+  world.launch();
+  sim::ResourceTrace drop;
+  drop.at_iteration(20, sim::ResourceTrace::set_all_nic_bandwidth(gbps(5)));
+  world.set_resource_trace(&drop);
+  faults::SwitchFaultPlan crash(world.cluster(), world.executor());
+  faults::SwitchCrashPoint point;
+  point.phase = pipeline::SwitchPhase::kTransfer;
+  point.kind = faults::FaultEvent::Kind::kGpuDown;
+  point.nth_attempt = 0;
+  point.max_shots = 8;
+  point.recover_after = 0.5;
+  crash.add(point);
+  world.run();
+
+  const analysis::CalibrationReport report =
+      analysis::calibrate(world.simulator().ledger());
+  EXPECT_GT(report.aborted, 0u);
+  EXPECT_EQ(report.executed + report.reverted + report.rejected +
+                report.superseded + report.aborted + report.pending,
+            report.decisions);
+  std::ostringstream text;
+  analysis::render_calibration(report, text);
+  EXPECT_NE(text.str().find(", aborted " + std::to_string(report.aborted)),
+            std::string::npos);
 }
 
 TEST(Gantt, DecisionRowMarksLedgerRecords) {

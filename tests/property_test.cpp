@@ -10,6 +10,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -37,8 +38,10 @@ namespace {
 // Executor invariants over the paper's model x bandwidth grid
 // ---------------------------------------------------------------------------
 
+// The model name is a std::string, not a const char*: gtest prints a char
+// pointer's address into the test name, which would change from build to build.
 class ExecutorGrid
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ExecutorGrid, PlannedRunSatisfiesInvariants) {
   const auto [model_name, bandwidth] = GetParam();
@@ -70,7 +73,9 @@ TEST_P(ExecutorGrid, PlannedRunSatisfiesInvariants) {
               report.iteration_end_times[i - 1]);
   }
   // Multi-stage plans must put bytes on the wire.
-  if (plan.partition.num_stages() > 1) EXPECT_GT(report.bytes_on_wire, 0.0);
+  if (plan.partition.num_stages() > 1) {
+    EXPECT_GT(report.bytes_on_wire, 0.0);
+  }
   // The measured rate cannot exceed the cluster's aggregate compute bound
   // (10% slack: short windows measure between completion bursts).
   double aggregate = 0.0;
@@ -82,8 +87,10 @@ TEST_P(ExecutorGrid, PlannedRunSatisfiesInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsByBandwidth, ExecutorGrid,
-    ::testing::Combine(::testing::Values("alexnet", "vgg16", "resnet50",
-                                         "resnet18"),
+    ::testing::Combine(::testing::Values(std::string("alexnet"),
+                                         std::string("vgg16"),
+                                         std::string("resnet50"),
+                                         std::string("resnet18")),
                        ::testing::Values(10.0, 25.0, 100.0)));
 
 // ---------------------------------------------------------------------------
@@ -599,7 +606,9 @@ TEST_P(RingQueueFuzz, RandomOpsMatchDequeOracle) {
     }
     ASSERT_EQ(ring.size(), oracle.size());
     ASSERT_EQ(ring.empty(), oracle.empty());
-    if (!oracle.empty()) ASSERT_EQ(ring.front(), oracle.front());
+    if (!oracle.empty()) {
+      ASSERT_EQ(ring.front(), oracle.front());
+    }
   }
   while (!oracle.empty()) {
     ASSERT_EQ(ring.pop_front(), oracle.front());

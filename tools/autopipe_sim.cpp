@@ -4,39 +4,27 @@
 //
 // Examples:
 //   autopipe_sim --model vgg16 --bandwidth 25 --system autopipe
-//   autopipe_sim --model resnet50 --bandwidth 10 --extra-jobs 2 \
+//   autopipe_sim --model resnet50 --bandwidth 10 --extra-jobs 2
 //                --system pipedream --iterations 200
-//   autopipe_sim --model bert48 --schedule dapple --micro-batches 8 \
+//   autopipe_sim --model bert48 --schedule dapple --micro-batches 8
 //                --system autopipe --bw-drop-iter 30 --bw-drop-gbps 10
 //   autopipe_sim --model alexnet --system baseline --scheme ps
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <utility>
 
-#include "analysis/json.hpp"
 #include "analysis/report.hpp"
-#include "common/profile.hpp"
 #include "analysis/trace_view.hpp"
-#include "autopipe/controller.hpp"
 #include "baselines/data_parallel.hpp"
-#include "cluster/job_manager.hpp"
-#include "cluster/jobs_spec.hpp"
-#include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/log.hpp"
-#include "common/stats.hpp"
+#include "common/profile.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "faults/fault_plan.hpp"
-#include "models/zoo.hpp"
-#include "partition/pipedream_planner.hpp"
-#include "pipeline/executor.hpp"
-#include "sim/background.hpp"
-#include "sim/cluster.hpp"
-#include "sim/trace.hpp"
+#include "pipeline/schedule.hpp"
+#include "scenario/artifacts.hpp"
+#include "scenario/world.hpp"
 
 using namespace autopipe;
 
@@ -110,46 +98,13 @@ void usage() {
       "  --verbose             debug logging\n";
 }
 
-// Split "PATH[:INTERVAL]". The suffix after the last ':' is an interval
-// only when it parses fully as a positive number, so paths that happen to
-// contain colons keep working.
-std::pair<std::string, double> split_timeseries_spec(const std::string& spec) {
-  const std::string::size_type colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size()) {
-    char* end = nullptr;
-    const double v = std::strtod(spec.c_str() + colon + 1, &end);
-    if (end != nullptr && *end == '\0' && v > 0.0)
-      return {spec.substr(0, colon), v};
-  }
-  return {spec, 1.0};
-}
-
-/// Output files requested on the command line; empty path = not requested.
-struct OutputPaths {
-  std::string trace;
-  std::string metrics;
-  std::string ledger;
-  std::string timeseries;
-  std::string profile;
-  double timeseries_interval = 1.0;
-};
-
-/// Serialize whatever outputs were requested. Shared by the single-job and
-/// --jobs-spec fleet paths so both emit identical artifact formats.
-void emit_outputs(sim::Simulator& simulator, const OutputPaths& paths) {
+/// Write whatever outputs were requested and report each on stdout. Shared
+/// by the single-job and --jobs-spec fleet paths.
+void emit_outputs(const sim::Simulator& simulator,
+                  const scenario::OutputPaths& paths,
+                  double timeseries_interval) {
+  scenario::write_outputs(simulator, paths);
   if (!paths.trace.empty()) {
-    std::ofstream out(paths.trace);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open trace file " << paths.trace);
-    const bool text =
-        paths.trace.size() >= 4 &&
-        (paths.trace.rfind(".txt") == paths.trace.size() - 4 ||
-         (paths.trace.size() >= 6 &&
-          paths.trace.rfind(".trace") == paths.trace.size() - 6));
-    if (text) {
-      simulator.tracer().write_text(out);
-    } else {
-      simulator.tracer().write_chrome_json(out);
-    }
     std::cout << "trace: " << simulator.tracer().size() << " events -> "
               << paths.trace << "\n";
     // Breakdown straight off the in-memory recorder — the same report
@@ -157,54 +112,21 @@ void emit_outputs(sim::Simulator& simulator, const OutputPaths& paths) {
     const analysis::TraceView view(simulator.tracer().events());
     std::cout << analysis::render_bubbles_text(analysis::analyze(view));
   }
-
   if (!paths.metrics.empty()) {
-    std::ofstream out(paths.metrics);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open metrics file " << paths.metrics);
-    const auto flattened = simulator.metrics().flattened();
-    analysis::write_scalar_map_json(flattened, out);
-    std::cout << "metrics: " << flattened.size() << " values -> "
-              << paths.metrics << "\n";
+    std::cout << "metrics: " << simulator.metrics().flattened().size()
+              << " values -> " << paths.metrics << "\n";
   }
-
   if (!paths.ledger.empty()) {
-    // Terminal-state any decision still mid-measurement, then serialize.
-    simulator.ledger().finalize("run_end");
-    std::ofstream out(paths.ledger);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open ledger file " << paths.ledger);
-    simulator.ledger().write_text(out);
     std::cout << "ledger: " << simulator.ledger().size() << " decisions -> "
               << paths.ledger << "\n";
   }
-
   if (!paths.timeseries.empty()) {
-    simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-    std::ofstream out(paths.timeseries);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open timeseries file " << paths.timeseries);
-    simulator.timeseries().write_text(out);
     std::cout << "timeseries: " << simulator.timeseries().size()
-              << " samples every "
-              << TextTable::num(paths.timeseries_interval, 3) << "s -> "
-              << paths.timeseries << "\n";
+              << " samples every " << TextTable::num(timeseries_interval, 3)
+              << "s -> " << paths.timeseries << "\n";
   }
-
   if (!paths.profile.empty()) {
-    prof::set_enabled(false);
     const std::vector<prof::ThreadProfile> profiles = prof::collect();
-    std::ofstream out(paths.profile);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open profile file " << paths.profile);
-    const bool json =
-        paths.profile.size() >= 5 &&
-        paths.profile.rfind(".json") == paths.profile.size() - 5;
-    if (json) {
-      prof::write_chrome_json(profiles, out);
-    } else {
-      prof::write_text(profiles, out);
-    }
     std::size_t spans = 0;
     for (const prof::ThreadProfile& tp : profiles)
       spans += tp.spans.size() + tp.aggregates.size();
@@ -213,14 +135,33 @@ void emit_outputs(sim::Simulator& simulator, const OutputPaths& paths) {
   }
 }
 
+/// Parse --faults for a cluster of the given shape and announce it; exits
+/// 2 on a malformed spec.
+faults::FaultPlan parse_faults(const Flags& flags,
+                               const sim::ClusterConfig& c) {
+  const std::string spec = flags.get("faults", "");
+  if (spec.empty()) return {};
+  faults::FaultPlan plan;
+  try {
+    plan = faults::parse_spec(spec, c.num_servers, c.gpus_per_server);
+  } catch (const std::exception& e) {
+    std::cerr << "autopipe_sim: bad --faults spec: " << e.what() << "\n";
+    std::exit(2);
+  }
+  std::cout << "faults: " << plan.size() << " scheduled events (horizon "
+            << TextTable::num(plan.horizon(), 2) << "s)\n";
+  return plan;
+}
+
 /// Co-tenancy mode: the whole fleet run, from parsed spec to summary
 /// tables. Returns the process exit code.
-int run_fleet(sim::Simulator& simulator, sim::Cluster& cluster,
-              const cluster::FleetSpec& fleet, const OutputPaths& paths) {
-  cluster::JobManager manager(simulator, cluster, fleet);
-  const cluster::FleetReport fr = manager.run();
+int run_fleet(scenario::Spec spec, const scenario::OutputPaths& paths,
+              double timeseries_interval) {
+  scenario::World world(std::move(spec));
+  world.run();
+  const cluster::FleetReport& fr = world.fleet_report();
 
-  emit_outputs(simulator, paths);
+  emit_outputs(world.simulator(), paths, timeseries_interval);
 
   TextTable jobs({"job", "model", "priority", "samples/s", "util", "commits",
                   "contention aborts", "finished at (s)"});
@@ -250,16 +191,6 @@ int run_fleet(sim::Simulator& simulator, sim::Cluster& cluster,
   return 0;
 }
 
-pipeline::ScheduleMode parse_schedule(const std::string& name) {
-  if (name == "1f1b") return pipeline::ScheduleMode::kAsync1F1B;
-  if (name == "gpipe") return pipeline::ScheduleMode::kGPipe;
-  if (name == "dapple") return pipeline::ScheduleMode::kDapple;
-  if (name == "chimera") return pipeline::ScheduleMode::kChimera;
-  if (name == "2bw") return pipeline::ScheduleMode::kTwoBW;
-  AUTOPIPE_EXPECT_MSG(false, "unknown schedule: " << name);
-  throw contract_error("unreachable");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -278,7 +209,7 @@ int main(int argc, char** argv) {
                           ? comm::SyncScheme::kParameterServer
                           : comm::SyncScheme::kRing;
 
-  sim::Simulator simulator;
+  scenario::Spec spec;
   const std::string trace_path = flags.get("trace", "");
   const std::string metrics_path = flags.get("metrics", "");
   const std::string ledger_path = flags.get("ledger", "");
@@ -293,20 +224,20 @@ int main(int argc, char** argv) {
   };
   if (!trace_path.empty()) {
     expect_writable(trace_path, "trace");
-    simulator.tracer().set_enabled(true);
+    spec.sinks.trace = true;
   }
   if (!metrics_path.empty()) expect_writable(metrics_path, "metrics");
   if (!ledger_path.empty()) {
     expect_writable(ledger_path, "ledger");
-    simulator.ledger().set_enabled(true);
+    spec.sinks.ledger = true;
   }
   std::string timeseries_path;
   double timeseries_interval = 1.0;
   if (flags.has("timeseries")) {
     std::tie(timeseries_path, timeseries_interval) =
-        split_timeseries_spec(flags.get("timeseries", ""));
+        scenario::split_timeseries_arg(flags.get("timeseries", ""));
     expect_writable(timeseries_path, "timeseries");
-    simulator.timeseries().configure(timeseries_interval);
+    spec.sinks.timeseries_interval = timeseries_interval;
   }
   const std::string profile_path = flags.get("profile", "");
   if (!profile_path.empty()) {
@@ -314,64 +245,37 @@ int main(int argc, char** argv) {
     prof::reset();
     prof::set_enabled(true);
   }
-  const OutputPaths outputs{trace_path,      metrics_path, ledger_path,
-                            timeseries_path, profile_path, timeseries_interval};
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_servers =
+  const scenario::OutputPaths outputs{trace_path, metrics_path, ledger_path,
+                                      timeseries_path, profile_path};
+  spec.cluster.num_servers =
       static_cast<std::size_t>(flags.get_int("servers", 5));
-  cluster_config.gpus_per_server =
+  spec.cluster.gpus_per_server =
       static_cast<std::size_t>(flags.get_int("gpus-per-server", 2));
-  cluster_config.nic_bandwidth = gbps(flags.get_double("bandwidth", 25));
-  sim::Cluster cluster(simulator, cluster_config);
-
-  const auto extra_jobs = flags.get_int("extra-jobs", 0);
-  for (std::int64_t j = 0; j < extra_jobs; ++j) {
-    for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w)
-      cluster.add_background_job(w);
-  }
+  spec.cluster.nic_bandwidth = gbps(flags.get_double("bandwidth", 25));
+  spec.extra_tenants = static_cast<int>(flags.get_int("extra-jobs", 0));
   if (flags.get_bool("churn", false)) {
-    sim::BackgroundWorkloadConfig churn;
-    churn.horizon = 600.0;
-    static sim::BackgroundWorkload background(
-        churn, Rng(static_cast<std::uint64_t>(flags.get_int("seed", 1))));
-    background.install(simulator, cluster);
+    spec.churn = scenario::default_churn();
+    spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   }
+  const std::size_t num_workers =
+      spec.cluster.num_servers * spec.cluster.gpus_per_server;
 
   // Co-tenancy mode: --jobs-spec replaces the single-job pipeline below
   // with a JobManager fleet. Shares the cluster/churn/fault environment and
   // all --trace/--metrics/--ledger/--timeseries/--profile outputs.
   const std::string jobs_spec_arg = flags.get("jobs-spec", "");
   if (!jobs_spec_arg.empty()) {
-    cluster::FleetSpec fleet;
     try {
-      fleet = cluster::load_jobs_spec(jobs_spec_arg);
-      cluster::assign_default_workers(fleet, cluster.num_workers());
+      spec.fleet = cluster::load_jobs_spec(jobs_spec_arg);
+      cluster::assign_default_workers(spec.fleet, num_workers);
     } catch (const std::exception& e) {
       std::cerr << "autopipe_sim: bad --jobs-spec: " << e.what() << "\n";
       return 2;
     }
-    faults::FaultPlan fleet_faults;
-    const std::string fleet_fault_spec = flags.get("faults", "");
-    if (!fleet_fault_spec.empty()) {
-      try {
-        fleet_faults = faults::parse_spec(fleet_fault_spec,
-                                          cluster_config.num_servers,
-                                          cluster_config.gpus_per_server);
-      } catch (const std::exception& e) {
-        std::cerr << "autopipe_sim: bad --faults spec: " << e.what() << "\n";
-        return 2;
-      }
-      fleet_faults.install(simulator, cluster,
-                           [](const faults::FaultEvent& ev) {
-                             LOG_DEBUG("fault: " << ev.describe());
-                           });
-      std::cout << "faults: " << fleet_faults.size()
-                << " scheduled events (horizon "
-                << TextTable::num(fleet_faults.horizon(), 2) << "s)\n";
-    }
+    spec.fault_plan = parse_faults(flags, spec.cluster);
     for (const std::string& flag : flags.unused())
       std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
-    return run_fleet(simulator, cluster, fleet, outputs);
+    return run_fleet(std::move(spec), outputs, timeseries_interval);
   }
 
   const auto iterations =
@@ -380,58 +284,34 @@ int main(int argc, char** argv) {
 
   // Baseline short-circuits: plain data parallelism.
   if (system == "baseline") {
+    scenario::World world(std::move(spec));
     baselines::DataParallelConfig dp;
     dp.framework = framework;
     dp.sync_scheme = scheme;
     dp.batch_size = static_cast<std::size_t>(flags.get_int("batch", 0));
-    std::vector<sim::WorkerId> all(cluster.num_workers());
-    for (sim::WorkerId w = 0; w < all.size(); ++w) all[w] = w;
     const auto report = baselines::run_data_parallel(
-        cluster, model, all, iterations, warmup, dp);
+        world.cluster(), model, scenario::all_workers(world.cluster()),
+        iterations, warmup, dp);
     std::cout << "data-parallel baseline: "
               << TextTable::num(report.throughput, 1) << " samples/s over "
               << iterations << " iterations\n";
     return 0;
   }
 
-  // Plan.
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, framework, scheme);
-  partition::PipeDreamPlanner planner(model, env,
-                                      model.default_batch_size());
-  const auto plan = planner.plan(cluster.num_workers());
-  const auto partition =
-      system == "even" ? partition::Partition::even_split(
-                             model.num_layers(),
-                             [&] {
-                               std::vector<sim::WorkerId> all(
-                                   cluster.num_workers());
-                               for (sim::WorkerId w = 0; w < all.size(); ++w)
-                                 all[w] = w;
-                               return all;
-                             }())
-                       : plan.partition;
-
-  pipeline::ExecutorConfig executor_config;
-  executor_config.framework = framework;
-  executor_config.sync_scheme = scheme;
-  executor_config.mode = parse_schedule(flags.get("schedule", "1f1b"));
-  executor_config.micro_batches =
+  scenario::Job& job = spec.job;
+  job.model = model;
+  job.even_split = system == "even";
+  job.executor.framework = framework;
+  job.executor.sync_scheme = scheme;
+  job.executor.mode =
+      pipeline::schedule_by_name(flags.get("schedule", "1f1b"));
+  job.executor.micro_batches =
       static_cast<std::size_t>(flags.get_int("micro-batches", 4));
-  executor_config.batch_size =
+  job.executor.batch_size =
       static_cast<std::size_t>(flags.get_int("batch", 0));
-  pipeline::PipelineExecutor executor(cluster, model, partition,
-                                      executor_config);
-
-  std::unique_ptr<core::AutoPipeController> controller;
-  if (system == "autopipe") {
-    core::ControllerConfig cc;
-    cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-    cc.use_meta_network = false;
-    controller = std::make_unique<core::AutoPipeController>(
-        cluster, executor, cc, nullptr, nullptr);
-    controller->attach();
-  }
+  if (system == "autopipe") job.controller = scenario::default_controller();
+  job.iterations = iterations;
+  job.warmup = warmup;
 
   sim::ResourceTrace trace;
   if (flags.has("bw-drop-iter")) {
@@ -445,57 +325,37 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int("jobs-iter", 0)),
         sim::ResourceTrace::add_job_all_gpus());
   }
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, cluster);
-    if (controller) controller->on_iteration(iters);
-  });
-
-  faults::FaultPlan fault_plan;
-  const std::string faults_spec = flags.get("faults", "");
-  if (!faults_spec.empty()) {
-    try {
-      fault_plan = faults::parse_spec(faults_spec, cluster_config.num_servers,
-                                      cluster_config.gpus_per_server);
-    } catch (const std::exception& e) {
-      std::cerr << "autopipe_sim: bad --faults spec: " << e.what() << "\n";
-      return 2;
-    }
-    fault_plan.install(simulator, cluster,
-                       [](const faults::FaultEvent& ev) {
-                         LOG_DEBUG("fault: " << ev.describe());
-                       });
-    std::cout << "faults: " << fault_plan.size()
-              << " scheduled events (horizon "
-              << TextTable::num(fault_plan.horizon(), 2) << "s)\n";
-  }
+  spec.fault_plan = parse_faults(flags, spec.cluster);
 
   for (const std::string& flag : flags.unused()) {
     std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
   }
 
-  const auto report = executor.run(iterations, warmup);
+  scenario::World world(std::move(spec));
+  world.set_resource_trace(&trace);
+  const scenario::Summary result = world.run();
+  const pipeline::ExecutionReport& report = world.report();
+  pipeline::PipelineExecutor& executor = world.executor();
+  const core::AutoPipeController* controller = world.controller();
+  const sim::Simulator& simulator = world.simulator();
 
-  emit_outputs(simulator, outputs);
+  emit_outputs(simulator, outputs, timeseries_interval);
 
   TextTable summary({"metric", "value"});
   summary.add_row({"model", model.name()});
   summary.add_row({"system", system});
-  summary.add_row({"initial partition", plan.partition.to_string()});
+  summary.add_row({"initial partition", world.plan()->partition.to_string()});
   summary.add_row({"final partition",
                    executor.current_partition().to_string()});
   summary.add_row({"throughput (samples/s)",
                    TextTable::num(report.throughput, 1)});
-  Histogram iter_times;
-  for (std::size_t i = warmup + 1; i < report.iteration_end_times.size();
-       ++i) {
-    iter_times.add(report.iteration_end_times[i] -
-                   report.iteration_end_times[i - 1]);
-  }
-  if (!iter_times.empty()) {
-    const Histogram::Summary s = iter_times.summary();
-    summary.add_row({"iteration time p50 (ms)", TextTable::num(s.p50 * 1e3, 3)});
-    summary.add_row({"iteration time p95 (ms)", TextTable::num(s.p95 * 1e3, 3)});
-    summary.add_row({"iteration time p99 (ms)", TextTable::num(s.p99 * 1e3, 3)});
+  if (report.iteration_end_times.size() > warmup + 1) {
+    summary.add_row({"iteration time p50 (ms)",
+                     TextTable::num(result.iteration_p50_ms, 3)});
+    summary.add_row({"iteration time p95 (ms)",
+                     TextTable::num(result.iteration_p95_ms, 3)});
+    summary.add_row({"iteration time p99 (ms)",
+                     TextTable::num(result.iteration_p99_ms, 3)});
   }
   summary.add_row({"worker utilization",
                    TextTable::num(report.worker_utilization, 3)});
