@@ -379,7 +379,8 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
 }
 
 double AutoPipeController::predict_speed(
-    const ProfileSnapshot& snapshot, const partition::Partition& candidate) {
+    const ProfileSnapshot& snapshot, const partition::EnvironmentView& env,
+    const partition::Partition& candidate) {
   PROF_SPAN_AGG("predictor/infer");
   if (meta_ && config_.use_meta_network) {
     const std::vector<std::vector<double>> seq(dynamic_history_.begin(),
@@ -390,11 +391,14 @@ double AutoPipeController::predict_speed(
     return encoder_.denormalize_throughput(normalized);
   }
   // Analytic integrated model on the profiled environment.
-  const auto env = profiler_.environment(snapshot,
-                                         executor_.config().framework,
-                                         executor_.config().sync_scheme);
   return partition::analytic_throughput(executor_.model(), candidate, env,
                                         executor_.batch_size());
+}
+
+bool AutoPipeController::is_rejected(const partition::Partition& p) const {
+  // Formatting the key costs more than the lookup; skip both while the
+  // set is empty, as it is outside a regime with a failed switch.
+  return !rejected_.empty() && rejected_.count(p.to_string()) > 0;
 }
 
 double AutoPipeController::baseline_period() const {
@@ -430,11 +434,8 @@ std::size_t partition_distance(const partition::Partition& a,
 }  // namespace
 
 std::pair<partition::Partition, double> AutoPipeController::replan(
-    const ProfileSnapshot& snapshot) {
+    const ProfileSnapshot& snapshot, const partition::EnvironmentView& env) {
   PROF_SPAN("planner/replan");
-  const auto env = profiler_.environment(snapshot,
-                                         executor_.config().framework,
-                                         executor_.config().sync_scheme);
   // The DP planner plans over a dense [0, N) worker space. A job-scoped
   // controller plans over its owned subset (dense via scoped_snapshot) and
   // maps the result back onto its real cluster worker ids; the descent and
@@ -540,7 +541,10 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   ++stats_.decisions;
 
   const partition::Partition& current = executor_.current_partition();
-  const double current_speed = predict_speed(snapshot, current);
+  const auto env = profiler_.environment(snapshot,
+                                         executor_.config().framework,
+                                         executor_.config().sync_scheme);
+  const double current_speed = predict_speed(snapshot, env, current);
 
   // One ledger record per planning round. Only simulated-time quantities
   // land in it — never the wall-clock timings below — so same-seed runs
@@ -564,9 +568,6 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   const auto fill_replan = [&](const partition::Partition& plan,
                                double plan_speed) {
     rec.kind = "replan";
-    const auto env = profiler_.environment(snapshot,
-                                           executor_.config().framework,
-                                           executor_.config().sync_scheme);
     const SwitchCostEstimate cost = analytic_switch_cost(
         executor_.model(), current, plan, env,
         snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
@@ -592,9 +593,9 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   // On a real environment shift, the two-worker neighbourhood may be too
   // local: consult the full re-plan first.
   if (after_change && config_.replan_on_change) {
-    auto [plan, plan_speed] = replan(snapshot);
+    auto [plan, plan_speed] = replan(snapshot, env);
     if (plan_speed > current_speed * (1.0 + config_.replan_gain_threshold) &&
-        !(plan == current) && !rejected_.count(plan.to_string()) &&
+        !(plan == current) && !is_rejected(plan) &&
         partition_reachable(plan)) {
       if (config_.gradual_migration) {
         LOG_DEBUG("migration target " << plan.to_string());
@@ -669,19 +670,13 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
 
   // Per-candidate switch costs are estimated only for the ledger; the
   // decision itself still gates on the best candidate's estimate below.
-  std::optional<partition::EnvironmentView> ledger_env;
-  if (ledger_on)
-    ledger_env = profiler_.environment(snapshot, executor_.config().framework,
-                                       executor_.config().sync_scheme);
-
   double best_speed = 0.0;
   const partition::Candidate* best = nullptr;
   for (const auto& candidate : candidates) {
     const bool skipped =
         !partition_reachable(candidate.partition) ||  // faulted destination
-        (config_.validate_switches &&
-         rejected_.count(candidate.partition.to_string()) >
-             0);  // measured worse than predicted earlier in this regime
+        // measured worse than predicted earlier in this regime
+        (config_.validate_switches && is_rejected(candidate.partition));
     if (skipped) {
       if (ledger_on) {
         trace::CandidateScore cs;
@@ -691,10 +686,10 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
       }
       continue;
     }
-    const double speed = predict_speed(snapshot, candidate.partition);
+    const double speed = predict_speed(snapshot, env, candidate.partition);
     if (ledger_on) {
       const SwitchCostEstimate cost = analytic_switch_cost(
-          executor_.model(), current, candidate.partition, *ledger_env,
+          executor_.model(), current, candidate.partition, env,
           snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
           partition::optimal_in_flight(current),
           executor_.config().switch_overhead_per_layer);
@@ -746,9 +741,6 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   }
 
   // Cost of adopting the best candidate.
-  const auto env = profiler_.environment(snapshot,
-                                         executor_.config().framework,
-                                         executor_.config().sync_scheme);
   const SwitchCostEstimate cost = analytic_switch_cost(
       executor_.model(), current, best->partition, env,
       snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
@@ -899,8 +891,9 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
 
 bool AutoPipeController::partition_reachable(
     const partition::Partition& p) const {
-  for (sim::WorkerId w : p.all_workers())
-    if (!cluster_.worker_reachable(w)) return false;
+  for (const partition::StageAssignment& stage : p.stages())
+    for (sim::WorkerId w : stage.workers)
+      if (!cluster_.worker_reachable(w)) return false;
   return true;
 }
 

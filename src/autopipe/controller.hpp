@@ -198,15 +198,21 @@ class AutoPipeController {
  private:
   void evaluate_and_decide(const ProfileSnapshot& snapshot,
                            bool after_change);
-  /// Full re-plan against the profiled environment (DP + short descent).
-  /// Returns the plan and its analytic speed prediction.
+  /// Full re-plan against the profiled environment `env` of `snapshot`
+  /// (DP + short descent). Returns the plan and its analytic speed
+  /// prediction.
   std::pair<partition::Partition, double> replan(
-      const ProfileSnapshot& snapshot);
+      const ProfileSnapshot& snapshot, const partition::EnvironmentView& env);
   /// Take one step of an in-progress gradual migration. Returns true if a
   /// switch was issued (or the target is still pending).
   bool pursue_target();
+  /// Predicted samples/s of `candidate`; `env` is the profiled environment
+  /// of `snapshot`, built once per planning round.
   double predict_speed(const ProfileSnapshot& snapshot,
+                       const partition::EnvironmentView& env,
                        const partition::Partition& candidate);
+  /// True when `p` was measured worse than predicted in this regime.
+  bool is_rejected(const partition::Partition& p) const;
   void settle_pending_reward(const ProfileSnapshot& snapshot);
   /// Median of the recent iteration periods.
   double baseline_period() const;

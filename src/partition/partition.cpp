@@ -2,12 +2,25 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "common/expect.hpp"
 
 namespace autopipe::partition {
+
+namespace {
+
+/// One past the largest worker id in `stages` (0 when there is none): the
+/// size of a flat array indexed by worker id. Worker ids are cluster
+/// indices, so the array stays as small as the cluster.
+std::size_t worker_id_bound(const std::vector<StageAssignment>& stages) {
+  std::size_t bound = 0;
+  for (const StageAssignment& s : stages)
+    for (sim::WorkerId w : s.workers) bound = std::max(bound, w + 1);
+  return bound;
+}
+
+}  // namespace
 
 Partition::Partition(std::vector<StageAssignment> stages,
                      std::size_t num_layers)
@@ -15,7 +28,7 @@ Partition::Partition(std::vector<StageAssignment> stages,
   AUTOPIPE_EXPECT(!stages_.empty());
   AUTOPIPE_EXPECT(num_layers_ > 0);
   std::size_t expect_first = 0;
-  std::unordered_set<sim::WorkerId> seen;
+  std::vector<char> seen(worker_id_bound(stages_), 0);
   for (const StageAssignment& s : stages_) {
     AUTOPIPE_EXPECT_MSG(s.first_layer == expect_first,
                         "stage gap: expected first layer "
@@ -23,9 +36,11 @@ Partition::Partition(std::vector<StageAssignment> stages,
     AUTOPIPE_EXPECT(s.last_layer >= s.first_layer);
     AUTOPIPE_EXPECT(s.last_layer < num_layers_);
     AUTOPIPE_EXPECT_MSG(!s.workers.empty(), "stage with no workers");
-    for (sim::WorkerId w : s.workers)
-      AUTOPIPE_EXPECT_MSG(seen.insert(w).second,
+    for (sim::WorkerId w : s.workers) {
+      AUTOPIPE_EXPECT_MSG(!seen[w],
                           "worker " << w << " assigned to two stages");
+      seen[w] = 1;
+    }
     expect_first = s.last_layer + 1;
   }
   AUTOPIPE_EXPECT_MSG(expect_first == num_layers_,
@@ -94,20 +109,22 @@ std::size_t Partition::num_workers() const {
 
 std::vector<sim::WorkerId> Partition::changed_workers(
     const Partition& other) const {
-  std::vector<sim::WorkerId> changed;
-  auto layer_range = [](const Partition& p, sim::WorkerId w)
-      -> std::pair<std::size_t, std::size_t> {
-    const std::size_t s = p.stage_of_worker(w);
-    if (s == npos) return {npos, npos};
-    return {p.stage(s).first_layer, p.stage(s).last_layer};
+  // The layer range each worker id hosts in either partition ({npos, npos}
+  // when unused); scanning ids in ascending order yields a sorted result.
+  using Range = std::pair<std::size_t, std::size_t>;
+  const std::size_t ids =
+      std::max(worker_id_bound(stages_), worker_id_bound(other.stages_));
+  const auto hosted = [ids](const Partition& p) {
+    std::vector<Range> range(ids, Range{npos, npos});
+    for (const StageAssignment& s : p.stages_)
+      for (sim::WorkerId w : s.workers)
+        range[w] = {s.first_layer, s.last_layer};
+    return range;
   };
-  std::unordered_set<sim::WorkerId> universe;
-  for (sim::WorkerId w : all_workers()) universe.insert(w);
-  for (sim::WorkerId w : other.all_workers()) universe.insert(w);
-  for (sim::WorkerId w : universe) {
-    if (layer_range(*this, w) != layer_range(other, w)) changed.push_back(w);
-  }
-  std::sort(changed.begin(), changed.end());
+  const std::vector<Range> mine = hosted(*this), theirs = hosted(other);
+  std::vector<sim::WorkerId> changed;
+  for (sim::WorkerId w = 0; w < ids; ++w)
+    if (mine[w] != theirs[w]) changed.push_back(w);
   return changed;
 }
 

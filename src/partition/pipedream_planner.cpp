@@ -29,52 +29,44 @@ PipeDreamPlanner::PipeDreamPlanner(const models::ModelSpec& model,
                            model_.bwd_flops(l, batch_);
     prefix_params_[l + 1] = prefix_params_[l] + model_.param_bytes(l);
   }
+  if (mode_ == Mode::kPipeDream) {
+    // PipeDream profiles one exclusive GPU and assumes uniform bandwidth
+    // and all-reduce weight sync.
+    speed_ = env_.uniform_speed();
+    bandwidth_ = env_.uniform_bandwidth();
+    scheme_ = comm::SyncScheme::kRing;
+  } else {
+    // Plan against the current environment: contended mean speed, the
+    // narrowest currently-available pipe, the real sync scheme.
+    speed_ = std::accumulate(env_.worker_speed.begin(),
+                             env_.worker_speed.end(), 0.0) /
+             static_cast<double>(env_.num_workers());
+    bandwidth_ = *std::min_element(env_.worker_bandwidth.begin(),
+                                   env_.worker_bandwidth.end());
+    scheme_ = env_.sync_scheme;
+  }
 }
 
 Seconds PipeDreamPlanner::stage_time(std::size_t first, std::size_t last,
                                      std::size_t replication) const {
   const Flops work = prefix_flops_[last + 1] - prefix_flops_[first];
-  FlopsPerSec speed;
-  BytesPerSec bw;
-  comm::SyncScheme scheme;
-  if (mode_ == Mode::kPipeDream) {
-    // PipeDream profiles one exclusive GPU and assumes uniform bandwidth
-    // and all-reduce weight sync.
-    speed = env_.uniform_speed();
-    bw = env_.uniform_bandwidth();
-    scheme = comm::SyncScheme::kRing;
-  } else {
-    // Plan against the current environment: contended mean speed, the
-    // narrowest currently-available pipe, the real sync scheme.
-    speed = std::accumulate(env_.worker_speed.begin(),
-                            env_.worker_speed.end(), 0.0) /
-            static_cast<double>(env_.num_workers());
-    bw = *std::min_element(env_.worker_bandwidth.begin(),
-                           env_.worker_bandwidth.end());
-    scheme = env_.sync_scheme;
-  }
-  AUTOPIPE_EXPECT(speed > 0.0);
+  AUTOPIPE_EXPECT(speed_ > 0.0);
   const Seconds overhead = 2.0 * env_.per_layer_overhead *
                            static_cast<double>(last - first + 1);
   Seconds sync = 0.0;
   if (replication > 1) {
     const Bytes params = prefix_params_[last + 1] - prefix_params_[first];
-    sync = comm::sync_time(scheme, params, replication, bw,
+    sync = comm::sync_time(scheme_, params, replication, bandwidth_,
                            env_.comm_efficiency);
   }
-  return (work / speed + overhead + sync) /
+  return (work / speed_ + overhead + sync) /
          static_cast<double>(replication);
 }
 
 Seconds PipeDreamPlanner::boundary_time(std::size_t layer) const {
   const Bytes activation = model_.activation_bytes(layer, batch_);
-  const BytesPerSec bw =
-      mode_ == Mode::kPipeDream
-          ? env_.uniform_bandwidth()
-          : *std::min_element(env_.worker_bandwidth.begin(),
-                              env_.worker_bandwidth.end());
-  AUTOPIPE_EXPECT(bw > 0.0);
-  return activation / (bw * env_.comm_efficiency);
+  AUTOPIPE_EXPECT(bandwidth_ > 0.0);
+  return activation / (bandwidth_ * env_.comm_efficiency);
 }
 
 PlanResult PipeDreamPlanner::plan(std::size_t max_workers) {
@@ -87,46 +79,58 @@ PlanResult PipeDreamPlanner::plan(std::size_t max_workers) {
   const std::size_t N = max_workers;
 
   // A[j][m]: best bottleneck period covering the first j layers with exactly
-  // m workers. choice[j][m] records (split point k, workers m' in the last
-  // stage); k == 0 means a single stage.
-  std::vector<std::vector<Seconds>> A(L + 1,
-                                      std::vector<Seconds>(N + 1, kInf));
+  // m workers, stored row-major (row j, column m). choice[j][m] records
+  // (split point k, workers m' in the last stage); k == 0 means a single
+  // stage.
+  const std::size_t W = N + 1;
+  std::vector<Seconds> A((L + 1) * W, kInf);
   struct Choice {
     std::size_t k = 0;
     std::size_t last_stage_workers = 0;
   };
-  std::vector<std::vector<Choice>> choice(L + 1,
-                                          std::vector<Choice>(N + 1));
+  std::vector<Choice> choice((L + 1) * W);
+  // comm[k-1] = C(k-1), filled as each split point becomes reachable;
+  // tail[m'] = S(k..j-1, m'), shared by every m of one (j, k).
+  std::vector<Seconds> comm(L);
+  std::vector<Seconds> tail(N);
 
   for (std::size_t j = 1; j <= L; ++j) {
+    if (j >= 2) comm[j - 2] = boundary_time(j - 2);
+    Seconds* best = &A[j * W];
+    Choice* best_choice = &choice[j * W];
+    // Option 1: layers [0, j) as a single stage replicated m ways.
     for (std::size_t m = 1; m <= N; ++m) {
-      // Option 1: layers [0, j) as a single stage replicated m ways.
-      Seconds best = stage_time(0, j - 1, m);
-      Choice best_choice{0, m};
-      // Option 2: split after layer k-1; last stage = layers [k, j) on m'.
-      for (std::size_t k = 1; k < j; ++k) {
-        const Seconds comm = boundary_time(k - 1);
+      best[m] = stage_time(0, j - 1, m);
+      best_choice[m] = Choice{0, m};
+    }
+    // Option 2: split after layer k-1; last stage = layers [k, j) on m'.
+    // For each m, (k, m') is visited in ascending order, so ties resolve to
+    // the first candidate found.
+    for (std::size_t k = 1; k < j; ++k) {
+      for (std::size_t mprime = 1; mprime < N; ++mprime)
+        tail[mprime] = stage_time(k, j - 1, mprime);
+      const Seconds* head_row = &A[k * W];
+      for (std::size_t m = 2; m <= N; ++m) {
         for (std::size_t mprime = 1; mprime < m; ++mprime) {
-          const Seconds head = A[k][m - mprime];
-          if (head >= best) continue;  // max() can only be worse
-          const Seconds tail = stage_time(k, j - 1, mprime);
-          const Seconds candidate = std::max({head, comm, tail});
-          if (candidate < best) {
-            best = candidate;
-            best_choice = Choice{k, mprime};
+          const Seconds head = head_row[m - mprime];
+          if (head >= best[m]) continue;  // max() can only be worse
+          const Seconds candidate =
+              std::max({head, comm[k - 1], tail[mprime]});
+          if (candidate < best[m]) {
+            best[m] = candidate;
+            best_choice[m] = Choice{k, mprime};
           }
         }
       }
-      A[j][m] = best;
-      choice[j][m] = best_choice;
     }
   }
 
   // Using fewer workers is allowed (idle workers can win when bandwidth is
   // the bottleneck).
+  const Seconds* final_row = &A[L * W];
   std::size_t best_m = 1;
   for (std::size_t m = 2; m <= N; ++m) {
-    if (A[L][m] < A[L][best_m]) best_m = m;
+    if (final_row[m] < final_row[best_m]) best_m = m;
   }
 
   // Reconstruct stage layer ranges and replication counts, back to front.
@@ -137,7 +141,7 @@ PlanResult PipeDreamPlanner::plan(std::size_t max_workers) {
   {
     std::size_t j = L, m = best_m;
     while (j > 0) {
-      const Choice c = choice[j][m];
+      const Choice c = choice[j * W + m];
       plan_stages.push_back(StagePlan{c.k, j - 1, c.last_stage_workers});
       AUTOPIPE_EXPECT(c.last_stage_workers <= m);
       m -= c.last_stage_workers;
@@ -190,7 +194,7 @@ PlanResult PipeDreamPlanner::plan(std::size_t max_workers) {
   last_solve_seconds_ =
       std::chrono::duration<double>(t1 - t0).count();
 
-  PlanResult result{partition, optimal_in_flight(partition), A[L][best_m]};
+  PlanResult result{partition, optimal_in_flight(partition), final_row[best_m]};
   return result;
 }
 

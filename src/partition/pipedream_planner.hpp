@@ -12,7 +12,9 @@
 // The DP minimizes the pipeline's bottleneck period:
 //   A[j][m] = min( S(0..j-1, m),
 //                  min_{k,m'} max( A[k][m-m'], C(k-1), S(k..j-1, m') ) )
-// where S is the amortized stage cost and C a boundary transfer.
+// where S is the amortized stage cost and C a boundary transfer. One solve
+// evaluates S O(L^2 N) times: S(k..j-1, m') does not depend on m, so it is
+// computed once per (j, k) and reused across the sweep over m.
 #pragma once
 
 #include <cstddef>
@@ -56,6 +58,13 @@ class PipeDreamPlanner {
   std::size_t batch_;
   Mode mode_;
   Seconds last_solve_seconds_ = 0.0;
+
+  // The mode's view of the environment, fixed at construction: one compute
+  // speed, one bandwidth and the weight-sync scheme every stage is costed
+  // with.
+  FlopsPerSec speed_ = 0.0;
+  BytesPerSec bandwidth_ = 0.0;
+  comm::SyncScheme scheme_ = comm::SyncScheme::kRing;
 
   // Prefix sums over layers for O(1) range cost queries.
   std::vector<Flops> prefix_flops_;   // fwd+bwd

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/expect.hpp"
 #include "common/log.hpp"
@@ -100,13 +99,12 @@ void FlowNetwork::erase_slot(std::size_t slot) {
 FlowId FlowNetwork::start_flow(FlowSpec spec) {
   AUTOPIPE_EXPECT(!spec.path.empty());
   AUTOPIPE_EXPECT(spec.bytes >= 0.0);
-  {
-    std::unordered_set<ResourceId> seen;
-    for (ResourceId r : spec.path) {
-      AUTOPIPE_EXPECT(r < res_capacity_.size());
-      AUTOPIPE_EXPECT_MSG(seen.insert(r).second,
-                          "duplicate resource in flow path");
-    }
+  // Paths hold a handful of resources: a linear scan over the prefix
+  // finds a repeat without allocating.
+  for (auto it = spec.path.begin(); it != spec.path.end(); ++it) {
+    AUTOPIPE_EXPECT(*it < res_capacity_.size());
+    AUTOPIPE_EXPECT_MSG(std::find(spec.path.begin(), it, *it) == it,
+                        "duplicate resource in flow path");
   }
   const FlowId id = next_flow_id_++;
   if (spec.bytes <= kByteEps) {

@@ -3,6 +3,8 @@
 // strongest property available), and the two-worker neighbourhood.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "common/expect.hpp"
@@ -250,6 +252,117 @@ TEST(Neighborhood, ReachesRebalancedOptimum) {
     }
   }
   EXPECT_TRUE(improves);
+}
+
+/// Set-based migration set: every worker of either partition whose hosted
+/// layer range differs, in ascending id order.
+std::vector<sim::WorkerId> reference_changed_workers(const Partition& a,
+                                                     const Partition& b) {
+  const auto range = [](const Partition& p, sim::WorkerId w) {
+    const std::size_t s = p.stage_of_worker(w);
+    return s == Partition::npos
+               ? std::pair{Partition::npos, Partition::npos}
+               : std::pair{p.stage(s).first_layer, p.stage(s).last_layer};
+  };
+  std::set<sim::WorkerId> universe;
+  for (sim::WorkerId w : a.all_workers()) universe.insert(w);
+  for (sim::WorkerId w : b.all_workers()) universe.insert(w);
+  std::vector<sim::WorkerId> changed;
+  for (sim::WorkerId w : universe)
+    if (range(a, w) != range(b, w)) changed.push_back(w);
+  return changed;
+}
+
+/// Random stages over `layers` layers: 1..min(layers, ids) stages, each
+/// holding one or more workers drawn without repetition from
+/// [0, 2 * ids) — replicated stages and non-contiguous ids included.
+std::vector<StageAssignment> random_stages(Rng& rng, std::size_t layers,
+                                           std::size_t ids) {
+  std::vector<sim::WorkerId> pool(2 * ids);
+  for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = i;
+  rng.shuffle(pool);
+  const auto workers = static_cast<std::size_t>(
+      rng.uniform_int(1, static_cast<std::int64_t>(ids)));
+  const auto num_stages = static_cast<std::size_t>(rng.uniform_int(
+      1, static_cast<std::int64_t>(std::min(layers, workers))));
+  // Distinct cut points split the layers; workers fill every stage once,
+  // then the rest land on random stages.
+  std::vector<std::size_t> cuts(layers - 1);
+  for (std::size_t i = 0; i < cuts.size(); ++i) cuts[i] = i + 1;
+  rng.shuffle(cuts);
+  cuts.resize(num_stages - 1);
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<StageAssignment> stages(num_stages);
+  for (std::size_t s = 0; s < num_stages; ++s) {
+    stages[s].first_layer = s == 0 ? 0 : cuts[s - 1];
+    stages[s].last_layer = s + 1 < num_stages ? cuts[s] - 1 : layers - 1;
+    stages[s].workers.push_back(pool[s]);
+  }
+  for (std::size_t i = num_stages; i < workers; ++i) {
+    const auto s = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(num_stages) - 1));
+    stages[s].workers.push_back(pool[i]);
+  }
+  for (auto& stage : stages)
+    std::sort(stage.workers.begin(), stage.workers.end());
+  return stages;
+}
+
+TEST(Neighborhood, ChangedWorkersMatchSetReference) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto layers = static_cast<std::size_t>(rng.uniform_int(2, 30));
+    const auto ids = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const Partition current(random_stages(rng, layers, ids), layers);
+    const auto candidates = two_worker_candidates(current);
+    for (const Candidate& c : candidates) {
+      EXPECT_EQ(c.changed_workers,
+                reference_changed_workers(current, c.partition))
+          << current.to_string() << " -> " << c.partition.to_string();
+      EXPECT_EQ(c.partition.changed_workers(current), c.changed_workers);
+    }
+    // Unrelated partitions over overlapping id sets: workers that appear on
+    // one side only count as changed.
+    const Partition other(random_stages(rng, layers, ids), layers);
+    EXPECT_EQ(current.changed_workers(other),
+              reference_changed_workers(current, other))
+        << current.to_string() << " vs " << other.to_string();
+    EXPECT_TRUE(current.changed_workers(current).empty());
+  }
+}
+
+TEST(Neighborhood, MalformedEditsOfRandomPartitionsThrow) {
+  Rng rng(977);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto layers = static_cast<std::size_t>(rng.uniform_int(2, 30));
+    const auto ids = static_cast<std::size_t>(rng.uniform_int(2, 12));
+    const auto stages = random_stages(rng, layers, ids);
+    ASSERT_NO_THROW(Partition(stages, layers));
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+
+    // A worker repeated, in another stage or its own.
+    auto dup = stages;
+    const std::size_t from = pick(dup.size());
+    const sim::WorkerId w = dup[from].workers[pick(dup[from].workers.size())];
+    dup[pick(dup.size())].workers.push_back(w);
+    EXPECT_THROW(Partition(dup, layers), contract_error);
+
+    // An empty stage.
+    auto empty = stages;
+    empty[pick(empty.size())].workers.clear();
+    EXPECT_THROW(Partition(empty, layers), contract_error);
+
+    // A gap: one stage ends a layer early (or the last stops short).
+    auto gap = stages;
+    auto& shrunk = gap[pick(gap.size())];
+    if (shrunk.last_layer > shrunk.first_layer) {
+      --shrunk.last_layer;
+      EXPECT_THROW(Partition(gap, layers), contract_error);
+    }
+  }
 }
 
 TEST(Exhaustive, GuardRejectsLargeModels) {

@@ -5,11 +5,13 @@
 // dominance over random environments, and end-to-end determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -426,6 +428,201 @@ TEST_P(RandomModelPlanner, PlanSatisfiesPartitionInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLayerGraphs, RandomModelPlanner,
                          ::testing::Range(0, 200));
+
+// ---------------------------------------------------------------------------
+// PipeDream DP: the O(L^2 N) solve against the O(L^2 N^2) loop it replaced
+// ---------------------------------------------------------------------------
+
+/// The planner's DP as first written, kept as a test-only oracle: the
+/// environment is reduced on every cost query and S(k..j-1, m') is
+/// recomputed for every m. Returns the stages and the planned period.
+std::pair<std::vector<partition::StageAssignment>, Seconds>
+reference_pipedream_plan(const models::ModelSpec& model,
+                         const partition::EnvironmentView& env,
+                         std::size_t batch,
+                         partition::PipeDreamPlanner::Mode mode,
+                         std::size_t max_workers) {
+  using Mode = partition::PipeDreamPlanner::Mode;
+  const std::size_t L = model.num_layers();
+  const std::size_t N = max_workers;
+  std::vector<Flops> prefix_flops(L + 1, 0.0);
+  std::vector<Bytes> prefix_params(L + 1, 0.0);
+  for (std::size_t l = 0; l < L; ++l) {
+    prefix_flops[l + 1] = prefix_flops[l] + model.fwd_flops(l, batch) +
+                          model.bwd_flops(l, batch);
+    prefix_params[l + 1] = prefix_params[l] + model.param_bytes(l);
+  }
+  const auto stage_time = [&](std::size_t first, std::size_t last,
+                              std::size_t replication) {
+    const Flops work = prefix_flops[last + 1] - prefix_flops[first];
+    FlopsPerSec speed;
+    BytesPerSec bw;
+    comm::SyncScheme scheme;
+    if (mode == Mode::kPipeDream) {
+      speed = env.uniform_speed();
+      bw = env.uniform_bandwidth();
+      scheme = comm::SyncScheme::kRing;
+    } else {
+      speed = std::accumulate(env.worker_speed.begin(),
+                              env.worker_speed.end(), 0.0) /
+              static_cast<double>(env.num_workers());
+      bw = *std::min_element(env.worker_bandwidth.begin(),
+                             env.worker_bandwidth.end());
+      scheme = env.sync_scheme;
+    }
+    const Seconds overhead =
+        2.0 * env.per_layer_overhead * static_cast<double>(last - first + 1);
+    Seconds sync = 0.0;
+    if (replication > 1) {
+      const Bytes params = prefix_params[last + 1] - prefix_params[first];
+      sync = comm::sync_time(scheme, params, replication, bw,
+                             env.comm_efficiency);
+    }
+    return (work / speed + overhead + sync) /
+           static_cast<double>(replication);
+  };
+  const auto boundary_time = [&](std::size_t layer) {
+    const BytesPerSec bw =
+        mode == Mode::kPipeDream
+            ? env.uniform_bandwidth()
+            : *std::min_element(env.worker_bandwidth.begin(),
+                                env.worker_bandwidth.end());
+    return model.activation_bytes(layer, batch) / (bw * env.comm_efficiency);
+  };
+
+  const Seconds inf = std::numeric_limits<Seconds>::infinity();
+  std::vector<std::vector<Seconds>> A(L + 1, std::vector<Seconds>(N + 1, inf));
+  // (split point k, workers of the last stage)
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> choice(
+      L + 1, std::vector<std::pair<std::size_t, std::size_t>>(N + 1));
+  for (std::size_t j = 1; j <= L; ++j) {
+    for (std::size_t m = 1; m <= N; ++m) {
+      Seconds best = stage_time(0, j - 1, m);
+      std::pair<std::size_t, std::size_t> best_choice{0, m};
+      for (std::size_t k = 1; k < j; ++k) {
+        const Seconds comm = boundary_time(k - 1);
+        for (std::size_t mprime = 1; mprime < m; ++mprime) {
+          const Seconds head = A[k][m - mprime];
+          if (head >= best) continue;
+          const Seconds tail = stage_time(k, j - 1, mprime);
+          const Seconds candidate = std::max({head, comm, tail});
+          if (candidate < best) {
+            best = candidate;
+            best_choice = {k, mprime};
+          }
+        }
+      }
+      A[j][m] = best;
+      choice[j][m] = best_choice;
+    }
+  }
+  std::size_t best_m = 1;
+  for (std::size_t m = 2; m <= N; ++m) {
+    if (A[L][m] < A[L][best_m]) best_m = m;
+  }
+
+  // (first layer, last layer, replicas), front to back.
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> ranges;
+  for (std::size_t j = L, m = best_m; j > 0;) {
+    const auto [k, replicas] = choice[j][m];
+    ranges.emplace_back(k, j - 1, replicas);
+    m -= replicas;
+    j = k;
+  }
+  std::reverse(ranges.begin(), ranges.end());
+
+  // Fastest workers to the most loaded stages (id order in PipeDream mode).
+  std::vector<sim::WorkerId> workers(env.num_workers());
+  std::iota(workers.begin(), workers.end(), sim::WorkerId{0});
+  if (mode == Mode::kCurrentEnvironment) {
+    std::stable_sort(workers.begin(), workers.end(),
+                     [&](sim::WorkerId a, sim::WorkerId b) {
+                       return env.worker_speed[a] > env.worker_speed[b];
+                     });
+  }
+  std::vector<Seconds> load;
+  for (const auto& [first, last, replicas] : ranges)
+    load.push_back(stage_time(first, last, replicas));
+  std::vector<std::size_t> order(ranges.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return load[a] > load[b];
+                   });
+  std::vector<partition::StageAssignment> stages(ranges.size());
+  std::size_t next_worker = 0;
+  for (std::size_t s : order) {
+    const auto& [first, last, replicas] = ranges[s];
+    stages[s].first_layer = first;
+    stages[s].last_layer = last;
+    for (std::size_t r = 0; r < replicas; ++r)
+      stages[s].workers.push_back(workers[next_worker++]);
+    std::sort(stages[s].workers.begin(), stages[s].workers.end());
+  }
+  return {std::move(stages), A[L][best_m]};
+}
+
+class PlannerOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(PlannerOracle, MatchesQuadraticReferenceBitForBit) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  // Odd seeds use identical layers on identical GPUs, where many splits tie
+  // and only the visiting order decides which one wins.
+  const bool ties = GetParam() % 2 == 1;
+  const auto model = [&] {
+    if (!ties) return random_layer_model(rng);
+    // Heavy weights make replication costly, so pipelined splits (and
+    // their ties) win; light activations keep boundaries off the maximum.
+    models::LayerSpec layer;
+    layer.fwd_flops_per_sample = 1e9;
+    layer.bwd_flops_per_sample = 2e9;
+    layer.activation_bytes_per_sample = rng.chance(0.5) ? 1e3 : 1e6;
+    layer.param_bytes = rng.chance(0.5) ? 4e8 : 1e7;
+    std::vector<models::LayerSpec> layers(
+        static_cast<std::size_t>(rng.uniform_int(2, 24)), layer);
+    for (std::size_t i = 0; i < layers.size(); ++i)
+      layers[i].name = "L" + std::to_string(i);
+    return models::ModelSpec("uniform", 32, std::move(layers));
+  }();
+  const std::size_t batch = model.default_batch_size();
+
+  for (std::size_t n = 1; n <= 16; ++n) {
+    partition::EnvironmentView env;
+    for (std::size_t w = 0; w < n; ++w) {
+      env.worker_speed.push_back(ties ? tflops(4.0)
+                                      : tflops(rng.uniform(1.0, 10.0)));
+      env.worker_bandwidth.push_back(ties ? gbps(25.0)
+                                          : gbps(rng.uniform(1.0, 100.0)));
+    }
+    env.per_layer_overhead = rng.chance(0.5) ? 0.0 : rng.uniform(1e-5, 1e-3);
+    env.comm_efficiency = rng.uniform(0.5, 1.0);
+    env.sync_scheme = rng.chance(0.5) ? comm::SyncScheme::kRing
+                                      : comm::SyncScheme::kParameterServer;
+    const auto max_workers =
+        static_cast<std::size_t>(rng.uniform_int(1, static_cast<int>(n)));
+    for (const auto mode :
+         {partition::PipeDreamPlanner::Mode::kPipeDream,
+          partition::PipeDreamPlanner::Mode::kCurrentEnvironment}) {
+      partition::PipeDreamPlanner planner(model, env, batch, mode);
+      for (const std::size_t m : {n, max_workers}) {
+        const partition::PlanResult plan = planner.plan(m);
+        auto [stages, period] =
+            reference_pipedream_plan(model, env, batch, mode, m);
+        const partition::Partition expected(std::move(stages),
+                                            model.num_layers());
+        EXPECT_EQ(plan.partition, expected)
+            << "n=" << n << " max_workers=" << m << " planned "
+            << plan.partition.to_string() << " oracle "
+            << expected.to_string();
+        EXPECT_EQ(plan.predicted_batch_time, period)
+            << "n=" << n << " max_workers=" << m;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLayerGraphs, PlannerOracle,
+                         ::testing::Range(0, 16));
 
 // ---------------------------------------------------------------------------
 // Event-queue properties: the timing wheel against a sorted-vector oracle

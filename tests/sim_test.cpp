@@ -222,6 +222,18 @@ TEST(FlowNetwork, DuplicateResourceInPathThrows) {
   EXPECT_THROW(net.start_flow({{r, r}, 10.0, nullptr}), contract_error);
 }
 
+TEST(FlowNetwork, PathValidationScansTheWholePath) {
+  Simulator sim;
+  FlowNetwork net(sim);
+  const auto a = net.add_resource("nic0", 100.0);
+  const auto b = net.add_resource("link", 100.0);
+  const auto c = net.add_resource("nic1", 100.0);
+  // A repeat that is not adjacent, and a resource the network never added.
+  EXPECT_THROW(net.start_flow({{a, b, c, a}, 10.0, nullptr}), contract_error);
+  EXPECT_THROW(net.start_flow({{a, b, c + 1}, 10.0, nullptr}), contract_error);
+  EXPECT_NO_THROW(net.start_flow({{a, b, c}, 10.0, nullptr}));
+}
+
 /// Property sweep: for random topologies and flow sets, the max-min
 /// allocation must (a) never oversubscribe a resource and (b) leave no flow
 /// below a share it could claim without displacing anyone (max-min

@@ -165,7 +165,11 @@ churn_ns() {
 # must stay off the hot path — the churn bench with tracing compiled in
 # (but runtime-disabled) is gated within AUTOPIPE_CAUSAL_TOL (default 10%)
 # of an AUTOPIPE_TRACING=OFF build, where the eid/cause fields do not
-# exist at all (the 0%-when-off half of the contract). See docs/TRACING.md.
+# exist at all (the 0%-when-off half of the contract). The reference is
+# configured with the same options as $build (under --sanitize it is
+# sanitized too) in its own directory, $build-notrace unless
+# NOTRACE_BUILD_DIR is set, so the gate compares tracing against no tracing
+# and nothing else. See docs/TRACING.md.
 causal_smoke() {
   echo "== causal smoke =="
   local tmp
@@ -194,9 +198,9 @@ causal_smoke() {
   "$build/tools/autopipe_trace" blame "$tmp/run.trace" --json > /dev/null
 
   echo "== causal overhead gate =="
-  local notrace="${NOTRACE_BUILD_DIR:-$repo/build-notrace}"
+  local notrace="${NOTRACE_BUILD_DIR:-$build-notrace}"
   cmake -B "$notrace" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DAUTOPIPE_TRACING=OFF > /dev/null
+      "${cmake_args[@]}" -DAUTOPIPE_TRACING=OFF > /dev/null
   cmake --build "$notrace" -j "$jobs" --target micro_benchmarks > /dev/null
   local on_ns off_ns tol="${AUTOPIPE_CAUSAL_TOL:-0.10}"
   on_ns="$(churn_ns "$build/bench/micro_benchmarks")"
