@@ -185,11 +185,11 @@ partition::PlanResult plan_refined(const Testbed& testbed,
     for (const auto& candidate :
          partition::two_worker_candidates(plan.partition)) {
       const Seconds t = partition::analytic_batch_time(model,
-                                                       candidate.partition,
+                                                       candidate,
                                                        env, batch);
       if (t < best * 0.999) {
         best = t;
-        plan.partition = candidate.partition;
+        plan.partition = candidate;
         improved = true;
       }
     }

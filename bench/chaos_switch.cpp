@@ -11,13 +11,12 @@
 //   4. liveness     — the armed crash point actually fired, and abortable
 //                     faults (preemption / link loss) injected before Commit
 //                     really did abort the attempt
-//   5. parity       — the run replays byte-identically under the heap and
-//                     timing-wheel event queues (trace, ledger, metrics,
-//                     time-series); divergences dump artifacts
+//   5. replay       — the cell replays byte-identically (trace, ledger,
+//                     metrics, time series, causal edges, iteration
+//                     timeline, event counts); divergences dump artifacts
 //
 //   chaos_switch [--seeds=N] [--seed0=N] [--iterations=N] [--artifacts=DIR]
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "faults/switch_fault_plan.hpp"
+#include "parity/replay.hpp"
 #include "scenario/artifacts.hpp"
 
 using namespace autopipe;
@@ -86,10 +86,7 @@ std::vector<Cell> build_matrix() {
 }
 
 struct CellRun {
-  std::string trace_text;
-  std::string ledger_text;
-  std::string metrics_text;
-  std::string timeseries_text;
+  scenario::Capture capture;
   pipeline::PipelineExecutor::FaultStats stats;
   std::size_t active = 0;
   std::size_t attempts = 0;
@@ -102,10 +99,8 @@ struct CellRun {
   bool ledger_resolved = false;
 };
 
-CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
-                 sim::EventQueueKind queue) {
+CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations) {
   scenario::Spec spec;
-  spec.queue = queue;
   spec.sinks = {true, true, 0.02};
   spec.cluster.num_servers = kServers;
   spec.cluster.gpus_per_server = kGpusPerServer;
@@ -134,24 +129,15 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
   point.recover_after = 0.15 + 0.01 * static_cast<double>(seed % 4);
   switch_faults.add(point);
 
-  // The harness switch rotates each stage onto the next stage's workers —
-  // a valid layout where every worker serves a different layer range, so
-  // the Transfer phase genuinely moves weights — requested mid-pipeline at
-  // a seed-staggered instant.
+  // The harness switch rotates each stage onto the next stage's workers,
+  // so the Transfer phase genuinely moves weights, requested mid-pipeline
+  // at a seed-staggered instant.
   const double trigger = 0.08 + 0.004 * static_cast<double>(seed % 13);
   world.simulator().after(
       trigger,
       [&executor, mode = cell.mode] {
-        const partition::Partition& cur = executor.current_partition();
-        std::vector<partition::StageAssignment> stages = cur.stages();
-        if (stages.size() > 1) {
-          std::vector<sim::WorkerId> first = stages.front().workers;
-          for (std::size_t s = 0; s + 1 < stages.size(); ++s)
-            stages[s].workers = stages[s + 1].workers;
-          stages.back().workers = std::move(first);
-        }
         executor.request_switch(
-            partition::Partition(std::move(stages), cur.num_layers()), mode);
+            parity::rotate_workers(executor.current_partition()), mode);
       },
       "chaos_switch_trigger");
 
@@ -170,34 +156,11 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
   out.shots = switch_faults.fired().size();
   out.layout_consistent = executor.weight_layout_consistent();
   out.ledger_resolved = simulator.ledger().all_resolved();
-  using scenario::Artifact;
-  out.trace_text = scenario::artifact_text(simulator, Artifact::kTrace);
-  out.ledger_text = scenario::artifact_text(simulator, Artifact::kLedger);
-  out.metrics_text = scenario::artifact_text(simulator, Artifact::kMetrics);
-  out.timeseries_text =
-      scenario::artifact_text(simulator, Artifact::kTimeseries);
+  out.capture = scenario::capture(world);
   return out;
 }
 
 std::string g_artifact_dir;
-
-void dump_artifacts(const std::string& label, const CellRun& heap,
-                    const CellRun& wheel) {
-  if (g_artifact_dir.empty()) return;
-  std::filesystem::create_directories(g_artifact_dir);
-  const auto write = [&](const std::string& name, const std::string& text) {
-    std::ofstream os(g_artifact_dir + "/" + label + "." + name);
-    os << text;
-  };
-  write("heap.trace", heap.trace_text);
-  write("wheel.trace", wheel.trace_text);
-  write("heap.ledger", heap.ledger_text);
-  write("wheel.ledger", wheel.ledger_text);
-  write("heap.metrics", heap.metrics_text);
-  write("wheel.metrics", wheel.metrics_text);
-  write("heap.timeseries", heap.timeseries_text);
-  write("wheel.timeseries", wheel.timeseries_text);
-}
 
 bool aborts_switches(faults::FaultEvent::Kind kind) {
   // Stragglers and profiler dropouts degrade, but only participant loss
@@ -219,7 +182,7 @@ int main(int argc, char** argv) {
 
   const std::vector<Cell> matrix = build_matrix();
   std::cout << "crash-point matrix: " << matrix.size() << " cells x " << seeds
-            << " seeds x 2 event queues\n\n";
+            << " seeds x 2 runs (replay)\n\n";
 
   TextTable table({"mode", "phase", "fault", "seeds", "shots", "aborts",
                    "commits", "retries", "abandons", "verdict"});
@@ -245,65 +208,66 @@ int main(int argc, char** argv) {
                               kind_name(cell.kind) + "_seed" +
                               std::to_string(seed);
     const bool ok = bench::run_scenario(label, [&] {
-      const CellRun heap =
-          run_cell(cell, seed, iterations, sim::EventQueueKind::kHeap);
-      const CellRun wheel =
-          run_cell(cell, seed, iterations, sim::EventQueueKind::kWheel);
+      const CellRun run = run_cell(cell, seed, iterations);
+      const CellRun replay = run_cell(cell, seed, iterations);
 
       // 1. conservation
       AUTOPIPE_EXPECT_MSG(
-          heap.stats.injected ==
-              heap.stats.completed + heap.stats.dropped + heap.active,
+          run.stats.injected ==
+              run.stats.completed + run.stats.dropped + run.active,
           "mini-batch conservation: injected "
-              << heap.stats.injected << " != completed "
-              << heap.stats.completed << " + dropped " << heap.stats.dropped
-              << " + in-flight " << heap.active);
+              << run.stats.injected << " != completed "
+              << run.stats.completed << " + dropped " << run.stats.dropped
+              << " + in-flight " << run.active);
 
       // 2. consistency — never half-transitioned
-      AUTOPIPE_EXPECT_MSG(heap.layout_consistent,
+      AUTOPIPE_EXPECT_MSG(run.layout_consistent,
                           "executor finished in an inconsistent weight "
                           "layout");
 
       // 3. accounting
       AUTOPIPE_EXPECT_MSG(
-          heap.attempts == heap.committed + heap.aborted,
-          "attempt accounting: " << heap.attempts << " attempts != "
-              << heap.committed << " committed + " << heap.aborted
+          run.attempts == run.committed + run.aborted,
+          "attempt accounting: " << run.attempts << " attempts != "
+              << run.committed << " committed + " << run.aborted
               << " aborted");
-      AUTOPIPE_EXPECT_MSG(heap.ledger_resolved,
+      AUTOPIPE_EXPECT_MSG(run.ledger_resolved,
                           "ledger left non-terminal records after finalize");
-      AUTOPIPE_EXPECT_MSG(analysis::ledger_round_trips(heap.ledger_text),
+      AUTOPIPE_EXPECT_MSG(analysis::ledger_round_trips(run.capture.ledger),
                           "ledger does not round-trip through the reader");
 
       // 4. liveness — the crash point must have fired, and a participant
       // loss injected before Commit must have interrupted the attempt.
-      AUTOPIPE_EXPECT_MSG(heap.shots >= 1,
+      AUTOPIPE_EXPECT_MSG(run.shots >= 1,
                           "crash point never fired for this cell");
       if (aborts_switches(cell.kind) &&
           cell.phase != pipeline::SwitchPhase::kCommit) {
-        AUTOPIPE_EXPECT_MSG(heap.aborted >= 1,
+        AUTOPIPE_EXPECT_MSG(run.aborted >= 1,
                             "participant loss at "
                                 << pipeline::switch_phase_name(cell.phase)
                                 << " did not abort the attempt");
       }
 
-      // 5. heap/wheel parity
-      const bool parity = heap.trace_text == wheel.trace_text &&
-                          heap.ledger_text == wheel.ledger_text &&
-                          heap.metrics_text == wheel.metrics_text &&
-                          heap.timeseries_text == wheel.timeseries_text;
-      if (!parity) dump_artifacts(label, heap, wheel);
-      AUTOPIPE_EXPECT_MSG(parity,
-                          "heap and wheel runs diverged (artifacts "
+      // 5. replay
+      const scenario::Divergence d =
+          scenario::compare(run.capture, replay.capture);
+      if (!d.identical && !g_artifact_dir.empty()) {
+        std::filesystem::create_directories(g_artifact_dir);
+        scenario::write_divergence(g_artifact_dir + "/" + label, run.capture,
+                                   replay.capture, d);
+      }
+      AUTOPIPE_EXPECT_MSG(d.identical,
+                          "the cell did not replay byte-identically (artifacts "
                               << (g_artifact_dir.empty() ? "disabled"
                                                          : g_artifact_dir)
-                              << ")");
+                              << "):\n"
+                              << d.report);
 
-      outcomes[index].shots = heap.shots;
-      outcomes[index].aborts = heap.aborted;
-      outcomes[index].commits = heap.committed;
-      outcomes[index].retries = heap.retries;
-      outcomes[index].abandons = heap.abandonments;
+      outcomes[index].shots = run.shots;
+      outcomes[index].aborts = run.aborted;
+      outcomes[index].commits = run.committed;
+      outcomes[index].retries = run.retries;
+      outcomes[index].abandons = run.abandonments;
     });
     outcomes[index].ok = ok;
   });

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     const double meta_seconds = wall_seconds([&] {
       for (const auto& candidate : candidates) {
         (void)meta.predict(seq, static_feat,
-                           encoder.partition_features(candidate.partition,
+                           encoder.partition_features(candidate,
                                                       model.num_layers()));
       }
     });

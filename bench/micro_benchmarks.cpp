@@ -47,31 +47,12 @@ void BM_SimulatorFatCaptureChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorFatCaptureChurn);
 
-void BM_SimulatorFatCaptureChurnHeap(benchmark::State& state) {
-  // The same workload pinned to the reference binary heap: the spread
-  // between this and BM_SimulatorFatCaptureChurn is the timing wheel's
-  // win, measured through the identical devirtualized Simulator path.
-  for (auto _ : state) {
-    sim::Simulator sim(sim::EventQueueKind::kHeap);
-    double acc = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-      const double a = i * 1.0, b = i * 2.0, c = i * 3.0, d = i * 4.0;
-      sim.at(static_cast<Seconds>(i) * 1e-3,
-             [&acc, a, b, c, d] { acc += a + b + c + d; });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_SimulatorFatCaptureChurnHeap);
-
-template <typename Queue>
-void queue_churn(benchmark::State& state) {
+void BM_EventQueueWheel(benchmark::State& state) {
   // Queue-only churn: isolates push/pop cost from Simulator bookkeeping
   // and callback execution. Steady-state mix — a warm backlog of 256
   // events, then interleaved push/pop pairs walking time forward.
   for (auto _ : state) {
-    Queue q;
+    sim::TimingWheelEventQueue q;
     std::uint64_t seq = 0;
     for (int i = 0; i < 256; ++i)
       q.push(sim::SimEvent{static_cast<Seconds>(i) * 1e-3, seq++, {}, nullptr});
@@ -84,15 +65,6 @@ void queue_churn(benchmark::State& state) {
     }
     while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
   }
-}
-
-void BM_EventQueueHeap(benchmark::State& state) {
-  queue_churn<sim::HeapEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueHeap);
-
-void BM_EventQueueWheel(benchmark::State& state) {
-  queue_churn<sim::TimingWheelEventQueue>(state);
 }
 BENCHMARK(BM_EventQueueWheel);
 

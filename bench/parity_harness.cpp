@@ -1,58 +1,28 @@
-// Differential parity harness CLI: drives the same randomized scenario
-// (alexnet on 3x2, chaos fault plan + background churn, seeded) through the
-// binary-heap reference queue and the timing-wheel queue and demands
-// byte-identical traces, ledgers, metrics and iteration timelines. This is
-// the CI face of tests/parity_test.cpp — fewer fixed seeds there, an
-// arbitrary seed window here, plus divergence artifacts for debugging.
+// Replay-determinism harness CLI: drives a randomized scenario (alexnet on
+// 3x2, chaos fault plan + background churn, seeded) and demands that it
+// replays byte-identically — traces, ledgers, metrics, time series, causal
+// edges, iteration timelines and event counts. Every seed's first capture
+// runs in the --jobs pool; each seed is then replayed serially on the main
+// thread and compared, so one check covers both "the same run twice" and
+// "--jobs 1 vs N". This is the CI face of tests/parity_test.cpp — fewer
+// fixed seeds there, an arbitrary seed window here, plus divergence
+// artifacts for debugging.
 //
 //   parity_harness [--seeds=N] [--seed0=N] [--jobs=N] [--artifacts=DIR]
 //
-// With --artifacts, a diverging seed writes the heap and wheel trace /
-// ledger / metrics captures plus the first-divergence report into DIR so a
-// CI job can upload them.
+// With --artifacts, a diverging seed writes both captures (seedN.first.*,
+// seedN.replay.*) plus the first-divergence report into DIR so a CI job
+// can upload them.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/flags.hpp"
-#include "parity/differential.hpp"
+#include "parity/replay.hpp"
 
 using namespace autopipe;
-
-namespace {
-
-void write_file(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-}
-
-/// Dump both captures plus the divergence report for one failing seed.
-void write_artifacts(const std::filesystem::path& dir, std::uint64_t seed,
-                     const parity::ScenarioResult& heap,
-                     const parity::ScenarioResult& wheel,
-                     const std::string& report) {
-  std::filesystem::create_directories(dir);
-  const std::string stem = "seed" + std::to_string(seed);
-  write_file(dir / (stem + ".report.txt"), report);
-  write_file(dir / (stem + ".heap.trace"), heap.trace_text);
-  write_file(dir / (stem + ".wheel.trace"), wheel.trace_text);
-  write_file(dir / (stem + ".heap.ledger"), heap.ledger_text);
-  write_file(dir / (stem + ".wheel.ledger"), wheel.ledger_text);
-  write_file(dir / (stem + ".heap.metrics"), heap.metrics_text);
-  write_file(dir / (stem + ".wheel.metrics"), wheel.metrics_text);
-}
-
-struct SeedRow {
-  bool identical = false;
-  std::string report;
-  parity::ScenarioResult heap;
-  parity::ScenarioResult wheel;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
@@ -61,38 +31,39 @@ int main(int argc, char** argv) {
   const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
   const std::string artifacts = flags.get("artifacts", "");
 
-  std::cout << "parity: heap (reference) vs wheel (candidate), " << seeds
-            << " seeds from " << seed0 << "\n\n";
+  std::cout << "replay: " << seeds << " seeds from " << seed0
+            << ", first runs in the --jobs pool, replays serial\n\n";
 
-  // Seeds are independent, so they fan out across the --jobs pool; each
-  // body fills only its own row and the table renders in seed order, so
-  // output is identical at any thread count.
-  std::vector<SeedRow> rows(seeds);
+  // Seeds are independent, so their first runs fan out across the --jobs
+  // pool; each body fills only its own slot.
+  std::vector<scenario::Capture> firsts(seeds);
   bench::for_each_scenario(seeds, [&](std::size_t s) {
     parity::ScenarioConfig config;
     config.seed = seed0 + s;
-    rows[s].heap = parity::run_scenario(config, sim::EventQueueKind::kHeap);
-    rows[s].wheel = parity::run_scenario(config, sim::EventQueueKind::kWheel);
-    const parity::Divergence d = parity::compare(rows[s].heap, rows[s].wheel);
-    rows[s].identical = d.identical;
-    rows[s].report = d.report;
+    firsts[s] = parity::run_scenario(config);
   });
 
   TextTable table({"seed", "events", "scheduled", "trace(B)", "verdict"});
   std::size_t failures = 0;
   for (std::size_t s = 0; s < seeds; ++s) {
-    const SeedRow& row = rows[s];
-    const std::uint64_t seed = seed0 + s;
-    table.add_row({std::to_string(seed),
-                   std::to_string(row.heap.events_processed),
-                   std::to_string(row.heap.scheduled_events),
-                   std::to_string(row.heap.trace_text.size()),
-                   row.identical ? "identical" : "DIVERGED"});
-    if (row.identical) continue;
+    parity::ScenarioConfig config;
+    config.seed = seed0 + s;
+    const scenario::Capture& first = firsts[s];
+    const scenario::Capture replay = parity::run_scenario(config);
+    const scenario::Divergence d = scenario::compare(first, replay);
+    table.add_row({std::to_string(config.seed),
+                   std::to_string(first.events_processed),
+                   std::to_string(first.events_scheduled),
+                   std::to_string(first.trace.size()),
+                   d.identical ? "identical" : "DIVERGED"});
+    if (d.identical) continue;
     ++failures;
-    std::cerr << "seed " << seed << " diverged:\n" << row.report;
-    if (!artifacts.empty())
-      write_artifacts(artifacts, seed, row.heap, row.wheel, row.report);
+    std::cerr << "seed " << config.seed << " diverged:\n" << d.report;
+    if (!artifacts.empty()) {
+      std::filesystem::create_directories(artifacts);
+      scenario::write_divergence(
+          artifacts + "/seed" + std::to_string(config.seed), first, replay, d);
+    }
   }
   table.print(std::cout);
 
@@ -102,6 +73,6 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
     return 1;
   }
-  std::cout << "\nall " << seeds << " seeds byte-identical across queues\n";
+  std::cout << "\nall " << seeds << " seeds replay byte-identically\n";
   return 0;
 }

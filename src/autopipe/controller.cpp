@@ -469,10 +469,10 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
     for (const auto& candidate :
          partition::two_worker_candidates(plan.partition)) {
       const Seconds t = partition::analytic_batch_time(
-          executor_.model(), candidate.partition, env, executor_.batch_size());
+          executor_.model(), candidate, env, executor_.batch_size());
       if (t < best * 0.999) {
         best = t;
-        plan.partition = candidate.partition;
+        plan.partition = candidate;
         improved = true;
       }
     }
@@ -505,10 +505,10 @@ bool AutoPipeController::pursue_target() {
   // Step to the neighbour closest to the target.
   const auto candidates = partition::two_worker_candidates(current);
   const std::size_t current_distance = partition_distance(current, *target_);
-  const partition::Candidate* best = nullptr;
+  const partition::Partition* best = nullptr;
   std::size_t best_distance = current_distance;
   for (const auto& candidate : candidates) {
-    const std::size_t d = partition_distance(candidate.partition, *target_);
+    const std::size_t d = partition_distance(candidate, *target_);
     if (d < best_distance) {
       best_distance = d;
       best = &candidate;
@@ -522,8 +522,8 @@ bool AutoPipeController::pursue_target() {
   // Intermediate migration steps are tracked (fault aborts retry them) but
   // never validated: they may transit through worse configurations.
   drop_tracked_switch("new_decision");
-  tracked_switch_ = TrackedSwitch(best->partition, current);
-  if (executor_.request_switch(best->partition, config_.switch_mode,
+  tracked_switch_ = TrackedSwitch(*best, current);
+  if (executor_.request_switch(*best, config_.switch_mode,
                                target_round_)) {
     ++stats_.switches_requested;
     last_switch_iteration_ = executor_.completed_iterations();
@@ -671,30 +671,30 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   // Per-candidate switch costs are estimated only for the ledger; the
   // decision itself still gates on the best candidate's estimate below.
   double best_speed = 0.0;
-  const partition::Candidate* best = nullptr;
+  const partition::Partition* best = nullptr;
   for (const auto& candidate : candidates) {
     const bool skipped =
-        !partition_reachable(candidate.partition) ||  // faulted destination
+        !partition_reachable(candidate) ||  // faulted destination
         // measured worse than predicted earlier in this regime
-        (config_.validate_switches && is_rejected(candidate.partition));
+        (config_.validate_switches && is_rejected(candidate));
     if (skipped) {
       if (ledger_on) {
         trace::CandidateScore cs;
-        cs.partition = compact_partition(candidate.partition);
+        cs.partition = compact_partition(candidate);
         cs.skipped = true;
         rec.candidates.push_back(std::move(cs));
       }
       continue;
     }
-    const double speed = predict_speed(snapshot, env, candidate.partition);
+    const double speed = predict_speed(snapshot, env, candidate);
     if (ledger_on) {
       const SwitchCostEstimate cost = analytic_switch_cost(
-          executor_.model(), current, candidate.partition, env,
+          executor_.model(), current, candidate, env,
           snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
           partition::optimal_in_flight(current),
           executor_.config().switch_overhead_per_layer);
       trace::CandidateScore cs;
-      cs.partition = compact_partition(candidate.partition);
+      cs.partition = compact_partition(candidate);
       cs.predicted_speed = speed;
       cs.cost_fine = cost.fine_grained;
       cs.cost_stw = cost.stop_the_world;
@@ -742,7 +742,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
 
   // Cost of adopting the best candidate.
   const SwitchCostEstimate cost = analytic_switch_cost(
-      executor_.model(), current, best->partition, env,
+      executor_.model(), current, *best, env,
       snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
       partition::optimal_in_flight(current),
       executor_.config().switch_overhead_per_layer);
@@ -821,7 +821,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   if (ledger_on) {
     rec.action = action == 1 ? trace::DecisionAction::kSwitch
                              : trace::DecisionAction::kHold;
-    if (action == 1) rec.target = compact_partition(best->partition);
+    if (action == 1) rec.target = compact_partition(*best);
     rec.chosen_pred = action == 1 ? best_speed : current_speed;
     rec.best_pred = best_speed;
     rec.cost_seconds = cost_seconds;
@@ -849,7 +849,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
         config_.validate_switches && !recent_period_.empty();
     drop_tracked_switch("new_decision");
     tracked_switch_ =
-        TrackedSwitch(best->partition, executor_.current_partition(),
+        TrackedSwitch(*best, executor_.current_partition(),
                       arm_validation ? baseline_period() : 0.0,
                       arm_validation);
     if (ledger_on) {
@@ -859,13 +859,13 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
       supersede_probes("new_decision");
       tracked_switch_->ledger_id = ledger().add(std::move(rec));
     }
-    if (executor_.request_switch(best->partition, config_.switch_mode,
+    if (executor_.request_switch(*best, config_.switch_mode,
                                  tracked_switch_->ledger_id
                                      ? *tracked_switch_->ledger_id
                                      : 0)) {
       ++stats_.switches_requested;
       last_switch_iteration_ = executor_.completed_iterations();
-      LOG_DEBUG("switching to " << best->partition.to_string()
+      LOG_DEBUG("switching to " << best->to_string()
                                 << " (predicted " << current_speed << " -> "
                                 << best_speed << " samples/s)");
     } else if (tracked_switch_) {

@@ -67,7 +67,7 @@ partition::Partition perturb(const partition::Partition& base,
     if (candidates.empty()) break;
     const auto pick = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(candidates.size()) - 1));
-    current = candidates[pick].partition;
+    current = candidates[pick];
   }
   return current;
 }

@@ -9,8 +9,8 @@
 // emitted boundary ≤ t. No events are added to the queue, so the sampler
 // cannot perturb event counts or ordering — the rows are a pure function of
 // the deterministic event sequence and therefore byte-identical across
-// event-queue kinds (heap/wheel) and sweep --jobs values (verified by
-// `ctest -L parity`).
+// replays and sweep --jobs values (verified by `ctest -L parity` and
+// `ctest -L telemetry`).
 //
 // Output (`autopipe-ts-v1`): a columnar text block — header, interval, one
 // `col <name>` line per column (the sorted union of every key that ever

@@ -11,7 +11,8 @@
 // Injection is indirect on purpose: phase observers run synchronously
 // inside the executor's switch path, so the plan never mutates the cluster
 // from the callback — it schedules the fault through the simulator (with an
-// optional extra delay), which also keeps heap/wheel event-queue parity.
+// optional extra delay), so the fault joins the deterministic (time, seq)
+// event order and the run replays byte-identically.
 #pragma once
 
 #include <cstdint>

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 
-#include "common/expect.hpp"
-
 namespace autopipe::partition {
 
-namespace {
-
-/// Rebuild a Partition after editing a copy of its stages.
-Partition rebuild(std::vector<StageAssignment> stages,
-                  std::size_t num_layers) {
-  return Partition(std::move(stages), num_layers);
-}
-
-}  // namespace
-
-std::vector<Candidate> two_worker_candidates(const Partition& current) {
-  std::vector<Candidate> out;
+std::vector<Partition> two_worker_candidates(const Partition& current) {
+  std::vector<Partition> out;
   const auto& stages = current.stages();
   const std::size_t L = current.num_layers();
 
@@ -28,18 +16,14 @@ std::vector<Candidate> two_worker_candidates(const Partition& current) {
       auto edited = stages;
       edited[s].last_layer -= k;
       edited[s + 1].first_layer -= k;
-      Partition candidate = rebuild(std::move(edited), L);
-      auto changed = current.changed_workers(candidate);
-      out.push_back(Candidate{std::move(candidate), std::move(changed)});
+      out.emplace_back(std::move(edited), L);
     }
     // Move k leading layers of s+1 into s.
     for (std::size_t k = 1; k < stages[s + 1].num_layers(); ++k) {
       auto edited = stages;
       edited[s].last_layer += k;
       edited[s + 1].first_layer += k;
-      Partition candidate = rebuild(std::move(edited), L);
-      auto changed = current.changed_workers(candidate);
-      out.push_back(Candidate{std::move(candidate), std::move(changed)});
+      out.emplace_back(std::move(edited), L);
     }
   }
 
@@ -54,9 +38,7 @@ std::vector<Candidate> two_worker_candidates(const Partition& current) {
       edited[s].workers.pop_back();
       edited[t].workers.push_back(mover);
       std::sort(edited[t].workers.begin(), edited[t].workers.end());
-      Partition candidate = rebuild(std::move(edited), L);
-      auto changed = current.changed_workers(candidate);
-      out.push_back(Candidate{std::move(candidate), std::move(changed)});
+      out.emplace_back(std::move(edited), L);
     }
   }
 

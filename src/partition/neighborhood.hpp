@@ -12,18 +12,11 @@
 
 namespace autopipe::partition {
 
-struct Candidate {
-  Partition partition;
-  /// Workers whose layer assignment differs from the current partition —
-  /// the set that must migrate state on a switch.
-  std::vector<sim::WorkerId> changed_workers;
-};
-
 /// All two-worker-change candidates of `current`:
 ///   * move k >= 1 trailing layers of stage s to the head of stage s+1
 ///     (and the mirror image), for every adjacent pair and every feasible k;
 ///   * move one worker from a replicated stage to an adjacent stage.
 /// The current partition itself is not included.
-std::vector<Candidate> two_worker_candidates(const Partition& current);
+std::vector<Partition> two_worker_candidates(const Partition& current);
 
 }  // namespace autopipe::partition

@@ -1,5 +1,6 @@
 #include "scenario/artifacts.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -30,6 +31,33 @@ void write_file(const std::string& path, const char* what, Write&& write) {
     throw std::runtime_error(std::string("cannot open ") + what +
                              " file: " + path);
   write(out);
+}
+
+/// Report the first line where two texts differ (1-based), with context.
+void diff_text(const char* artifact, const std::string& ref,
+               const std::string& cand, std::ostringstream& os) {
+  if (ref == cand) return;
+  std::istringstream a(ref);
+  std::istringstream b(cand);
+  std::string la;
+  std::string lb;
+  std::size_t line = 0;
+  for (;;) {
+    const bool ga = static_cast<bool>(std::getline(a, la));
+    const bool gb = static_cast<bool>(std::getline(b, lb));
+    ++line;
+    if (!ga && !gb) break;  // equal prefix but unequal strings: length diff
+    if (ga != gb || la != lb) {
+      os << artifact << ": first divergence at line " << line << "\n"
+         << "  reference: " << (ga ? la : std::string("<end of text>"))
+         << "\n"
+         << "  candidate: " << (gb ? lb : std::string("<end of text>"))
+         << "\n";
+      return;
+    }
+  }
+  os << artifact << ": texts differ in length only (" << ref.size() << " vs "
+     << cand.size() << " bytes)\n";
 }
 
 }  // namespace
@@ -98,6 +126,86 @@ std::vector<prof::ThreadProfile> write_profile(const std::string& path) {
     }
   });
   return profiles;
+}
+
+Capture capture(const World& world) {
+  const sim::Simulator& simulator = world.simulator();
+  Capture out;
+  out.trace = artifact_text(simulator, Artifact::kTrace);
+  out.ledger = artifact_text(simulator, Artifact::kLedger);
+  out.metrics = artifact_text(simulator, Artifact::kMetrics);
+  out.timeseries = artifact_text(simulator, Artifact::kTimeseries);
+  std::ostringstream cs;
+  for (const trace::Event& ev : simulator.tracer().events()) {
+    if (ev.eid == 0) continue;
+    cs << ev.eid << "<-" << ev.cause << ' '
+       << trace::category_name(ev.category) << ':' << ev.name << '\n';
+  }
+  out.causal = cs.str();
+  if (world.spec().fleet.jobs.empty()) {
+    out.iteration_end_times = world.report().iteration_end_times;
+  } else {
+    for (const auto& job : world.fleet_report().jobs)
+      out.iteration_end_times.insert(out.iteration_end_times.end(),
+                                     job.report.iteration_end_times.begin(),
+                                     job.report.iteration_end_times.end());
+  }
+  out.events_processed = simulator.events_processed();
+  out.events_scheduled = simulator.events_scheduled();
+  return out;
+}
+
+Divergence compare(const Capture& reference, const Capture& candidate) {
+  std::ostringstream os;
+  diff_text("trace", reference.trace, candidate.trace, os);
+  diff_text("ledger", reference.ledger, candidate.ledger, os);
+  diff_text("metrics", reference.metrics, candidate.metrics, os);
+  diff_text("timeseries", reference.timeseries, candidate.timeseries, os);
+  diff_text("causal", reference.causal, candidate.causal, os);
+  const std::vector<double>& ref_ends = reference.iteration_end_times;
+  const std::vector<double>& cand_ends = candidate.iteration_end_times;
+  if (ref_ends.size() != cand_ends.size()) {
+    os << "iteration_end_times: count " << ref_ends.size() << " vs "
+       << cand_ends.size() << "\n";
+  } else {
+    const auto [r, c] =
+        std::mismatch(ref_ends.begin(), ref_ends.end(), cand_ends.begin());
+    if (r != ref_ends.end()) {
+      os.precision(17);
+      os << "iteration_end_times: first divergence at iteration "
+         << (r - ref_ends.begin()) << ": " << *r << " vs " << *c << "\n";
+    }
+  }
+  if (reference.events_processed != candidate.events_processed) {
+    os << "events_processed: " << reference.events_processed << " vs "
+       << candidate.events_processed << "\n";
+  }
+  if (reference.events_scheduled != candidate.events_scheduled) {
+    os << "events_scheduled: " << reference.events_scheduled << " vs "
+       << candidate.events_scheduled << "\n";
+  }
+  Divergence d;
+  d.report = os.str();
+  d.identical = d.report.empty();
+  return d;
+}
+
+void write_divergence(const std::string& prefix, const Capture& first,
+                      const Capture& replay, const Divergence& divergence) {
+  const auto write = [](const std::string& path, const std::string& text) {
+    write_file(path, "divergence", [&](std::ostream& os) { os << text; });
+  };
+  write(prefix + ".report.txt", divergence.report);
+  for (const auto& [run, capture] :
+       {std::pair<const char*, const Capture*>{".first", &first},
+        {".replay", &replay}}) {
+    const std::string stem = prefix + run;
+    write(stem + ".trace", capture->trace);
+    write(stem + ".ledger", capture->ledger);
+    write(stem + ".metrics", capture->metrics);
+    write(stem + ".timeseries", capture->timeseries);
+    write(stem + ".causal", capture->causal);
+  }
 }
 
 }  // namespace autopipe::scenario

@@ -3,14 +3,19 @@
 // files one OutputPaths names — so a trace, metrics, ledger or time-series
 // artifact has the same bytes whichever tool wrote it. Run the simulation
 // through World::run() first: it finalizes the ledger and the time series.
+//
+// capture() and compare() are the one replay check: every harness that
+// asserts a run is reproducible captures two runs and compares them here.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/profile.hpp"
+#include "scenario/world.hpp"
 #include "sim/simulator.hpp"
 
 namespace autopipe::scenario {
@@ -49,5 +54,45 @@ void write_outputs(const sim::Simulator& simulator, const OutputPaths& paths);
 /// Stop the host self-profiler and write its capture to `path`; returns the
 /// capture. Call after worker threads have joined.
 std::vector<prof::ThreadProfile> write_profile(const std::string& path);
+
+/// Every observable output of one finished run. Two runs replay
+/// byte-identically when all fields compare equal — the strings
+/// byte-for-byte, the doubles bit-for-bit.
+struct Capture {
+  std::string trace;       ///< plain-text event trace
+  std::string ledger;      ///< finalized decision ledger
+  std::string metrics;     ///< flattened metrics registry, JSON
+  std::string timeseries;  ///< autopipe-ts-v1 metric time series
+  /// One line per causal event: "eid<-cause category:name". Redundant with
+  /// `trace` byte-equality, but diffing it separately localizes a
+  /// divergence in the causal graph (a reordered scheduling decision) even
+  /// when timestamps happen to agree.
+  std::string causal;
+  /// Every job's iteration end times, jobs in fleet order.
+  std::vector<double> iteration_end_times;
+  std::uint64_t events_processed = 0;
+  std::uint64_t events_scheduled = 0;  ///< pushes must match too
+};
+
+/// Capture a world after World::run().
+Capture capture(const World& world);
+
+/// Outcome of comparing two captures of the same scenario.
+struct Divergence {
+  bool identical = true;
+  /// Empty when identical; otherwise a human-readable report naming each
+  /// diverging artifact with its first differing line (1-based) or value.
+  std::string report;
+};
+
+/// Byte/bit-exact comparison with first-divergence diagnostics.
+Divergence compare(const Capture& reference, const Capture& candidate);
+
+/// Divergence triage: write `prefix` + ".report.txt" and each capture's
+/// text artifacts to `prefix` + ".first" / ".replay" + ".trace",
+/// ".ledger", ".metrics", ".timeseries" and ".causal". The directory must
+/// exist.
+void write_divergence(const std::string& prefix, const Capture& first,
+                      const Capture& replay, const Divergence& divergence);
 
 }  // namespace autopipe::scenario

@@ -18,7 +18,6 @@
 #include "pipeline/executor.hpp"
 #include "sim/background.hpp"
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 
 namespace autopipe::scenario {
 
@@ -56,7 +55,6 @@ struct Spec {
   /// faults::parse_spec input; when empty, `fault_plan` is installed.
   std::string faults;
   faults::FaultPlan fault_plan;
-  sim::EventQueueKind queue = sim::default_event_queue_kind();
   Sinks sinks;
   Job job;
   /// A non-empty job list runs this co-tenant fleet instead of `job`.

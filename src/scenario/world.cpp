@@ -27,7 +27,7 @@ std::vector<sim::WorkerId> all_workers(const sim::Cluster& cluster) {
 }
 
 World::World(Spec spec) : spec_(std::move(spec)) {
-  simulator_ = std::make_unique<sim::Simulator>(spec_.queue);
+  simulator_ = std::make_unique<sim::Simulator>();
   if (spec_.sinks.trace) simulator_->tracer().set_enabled(true);
   if (spec_.sinks.ledger) simulator_->ledger().set_enabled(true);
   if (spec_.sinks.timeseries_interval > 0.0)

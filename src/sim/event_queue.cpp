@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <utility>
-
-#include "common/expect.hpp"
 
 namespace autopipe::sim {
 
@@ -70,7 +66,7 @@ void TimingWheelEventQueue::refill_from_overflow() {
   if (min_k == kSaturatedTick) {
     // Only unrepresentable timestamps remain (infinite / beyond-horizon).
     // Degrade to pure-heap mode: everything lives in the near heap from
-    // here on, which is exactly the reference queue's behaviour.
+    // here on, which is still exact (time, seq) order.
     cur_tick_ = kSaturatedTick;
     while (n != kNil) {
       const std::uint32_t next = node(n).next;
@@ -112,36 +108,6 @@ void TimingWheelEventQueue::settle() {
     }
     return;  // wheel empty; pop()/peek_time() preconditions bar this
   }
-}
-
-// ---------------------------------------------------------------------------
-// Selection
-// ---------------------------------------------------------------------------
-
-EventQueueKind parse_event_queue_kind(std::string_view name) {
-  if (name == "heap") return EventQueueKind::kHeap;
-  if (name == "wheel") return EventQueueKind::kWheel;
-  AUTOPIPE_EXPECT_MSG(false, "unknown event queue kind \""
-                                 << name << "\" (expected heap or wheel)");
-  return EventQueueKind::kWheel;  // unreachable
-}
-
-const char* event_queue_kind_name(EventQueueKind kind) {
-  return kind == EventQueueKind::kHeap ? "heap" : "wheel";
-}
-
-EventQueueKind default_event_queue_kind() {
-  static const EventQueueKind kind = [] {
-    const char* env = std::getenv("AUTOPIPE_EVENT_QUEUE");
-    return env == nullptr ? EventQueueKind::kWheel
-                          : parse_event_queue_kind(env);
-  }();
-  return kind;
-}
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind) {
-  if (kind == EventQueueKind::kHeap) return std::make_unique<HeapEventQueue>();
-  return std::make_unique<TimingWheelEventQueue>();
 }
 
 }  // namespace autopipe::sim

@@ -1,35 +1,23 @@
-// Pluggable priority queues for the discrete-event simulator core.
-//
-// Two implementations share one contract — events dequeue in strict
-// (time, seq) order, bit-for-bit identical between them:
-//
-//   * HeapEventQueue  — the reference binary heap the simulator shipped
-//     with. O(log n) per operation, every sift moves whole Event payloads
-//     (~80 bytes including the inline closure buffer). Retained forever as
-//     the oracle the differential parity harness replays against.
-//   * TimingWheelEventQueue — a three-level paged calendar queue. Pushes
-//     and cascades relink fixed-size pool nodes (no Event moves); only the
-//     events of the *current tick* sit in a tiny exactness heap of node
-//     indices, so the hot path is O(1) amortized and an event's closure is
-//     moved exactly once (into its node) over its whole lifetime. See
-//     docs/SIMULATOR.md for the layout.
+// The discrete-event simulator's event queue: a three-level paged calendar
+// queue (timing wheel). Events dequeue in strict (time, seq) order. Pushes
+// and cascades relink fixed-size pool nodes (no Event moves); only the
+// events of the *current tick* sit in a tiny exactness heap of node
+// indices, so the hot path is O(1) amortized and an event's closure is
+// moved exactly once (into its node) over its whole lifetime. See
+// docs/SIMULATOR.md for the layout.
 //
 // The wheel quantizes *placement* (which bucket an event waits in), never
 // *time*: the Event keeps its exact timestamp, and same-bucket events are
 // heap-ordered before release. Watchdog/fault events therefore fire at
 // exact instants even though the wheel advances in tick quanta.
 //
-// Hot-path discipline: both classes are `final` and their push/pop bodies
-// live in this header, so the Simulator (which holds typed pointers next
-// to the owning interface pointer) calls them devirtualized and inlined —
-// the virtual interface exists for the parity/property harnesses, not for
-// the per-event path.
+// Hot-path discipline: push/pop bodies live in this header so the
+// Simulator, which owns the wheel by value, inlines them.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/small_function.hpp"
@@ -55,56 +43,6 @@ struct SimEvent {
   std::uint64_t cause = 0;
 };
 
-/// Comparator for a *min*-heap on (time, seq) via std::push_heap/pop_heap.
-struct SimEventAfter {
-  bool operator()(const SimEvent& a, const SimEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-/// Priority-queue contract the simulator schedules against. Single
-/// threaded; pop()/peek_time() require !empty(). peek_time() is non-const
-/// because the wheel settles (cascades buckets) lazily on first access.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-  virtual void push(SimEvent ev) = 0;
-  virtual SimEvent pop() = 0;
-  virtual Seconds peek_time() = 0;
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// Reference implementation: binary min-heap over a reused vector (no
-/// per-push allocation; pops move the closure out instead of copying).
-class HeapEventQueue final : public EventQueue {
- public:
-  void push(SimEvent ev) override {
-    if (events_.capacity() == 0) events_.reserve(256);
-    events_.push_back(std::move(ev));
-    std::push_heap(events_.begin(), events_.end(), SimEventAfter{});
-  }
-
-  SimEvent pop() override {
-    // Heap pop with a move, never a copy — the callback is move-only, so a
-    // copying pop would not compile.
-    std::pop_heap(events_.begin(), events_.end(), SimEventAfter{});
-    SimEvent ev = std::move(events_.back());
-    events_.pop_back();
-    return ev;
-  }
-
-  Seconds peek_time() override { return events_.front().time; }
-  bool empty() const override { return events_.empty(); }
-  std::size_t size() const override { return events_.size(); }
-  const char* name() const override { return "heap"; }
-
- private:
-  std::vector<SimEvent> events_;
-};
-
 /// Three-level paged timing wheel (calendar queue).
 ///
 /// Time is quantized into ticks of kTickSeconds. Level l spans
@@ -117,8 +55,8 @@ class HeapEventQueue final : public EventQueue {
 /// can run in place), so scheduling and cascading move 4-byte indices,
 /// never Event payloads. Events of the current tick are released through a
 /// small (time, seq) heap of node indices, which makes the dequeue order
-/// *exactly* the heap queue's order.
-class TimingWheelEventQueue final : public EventQueue {
+/// exactly (time, seq).
+class TimingWheelEventQueue {
  public:
   static constexpr int kSlotsLog2 = 8;
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotsLog2;
@@ -135,7 +73,7 @@ class TimingWheelEventQueue final : public EventQueue {
     std::uint32_t next = 0xffffffffu;
   };
 
-  void push(SimEvent ev) override {
+  void push(SimEvent ev) {
     const std::uint64_t k = tick_of(ev.time);
     ++size_;
     const std::uint32_t n = alloc_node(std::move(ev), k);
@@ -148,26 +86,27 @@ class TimingWheelEventQueue final : public EventQueue {
     place(n);
   }
 
-  /// Interface pop (parity/property harnesses): moves the event out of its
-  /// node. The Simulator uses pop_node()/release_node() instead and runs
-  /// the closure in place, skipping this move.
-  SimEvent pop() override {
+  /// Moves the next event out of its node (property tests and benches).
+  /// The Simulator uses pop_node()/release_node() instead and runs the
+  /// closure in place, skipping this move.
+  SimEvent pop() {
     const std::uint32_t n = pop_node();
     SimEvent ev = std::move(node(n).ev);
     release_node(n);
     return ev;
   }
 
-  Seconds peek_time() override {
+  /// Time of the next event; requires !empty(). Non-const: the wheel
+  /// settles (cascades buckets) lazily on first access.
+  Seconds peek_time() {
     if (near_.empty()) settle();
     return node(near_.front()).ev.time;
   }
 
-  bool empty() const override { return size_ == 0; }
-  std::size_t size() const override { return size_; }
-  const char* name() const override { return "wheel"; }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
-  // --- Simulator fast path (devirtualized) -------------------------------
+  // --- Simulator fast path -------------------------------------------------
 
   /// Unlink and return the index of the next event's node. The event stays
   /// in pool storage — chunk addresses are stable even if the running
@@ -306,18 +245,5 @@ class TimingWheelEventQueue final : public EventQueue {
   std::uint64_t cur_tick_ = 0;
   std::size_t size_ = 0;
 };
-
-enum class EventQueueKind { kHeap, kWheel };
-
-/// Parse "heap" / "wheel"; throws contract_error on anything else.
-EventQueueKind parse_event_queue_kind(std::string_view name);
-const char* event_queue_kind_name(EventQueueKind kind);
-
-/// Process-wide default: the AUTOPIPE_EVENT_QUEUE environment variable
-/// ("heap" or "wheel", read once) or the wheel when unset — the escape
-/// hatch back to the reference queue if a wheel bug is ever suspected.
-EventQueueKind default_event_queue_kind();
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind);
 
 }  // namespace autopipe::sim

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/expect.hpp"
 #include "common/ledger.hpp"
@@ -24,22 +23,14 @@ namespace autopipe::sim {
 /// order so runs are bit-for-bit reproducible.
 ///
 /// Hot-path discipline: a run executes millions of events, so the queue is
-/// a pluggable EventQueue (a timing wheel by default, the reference binary
-/// heap behind AUTOPIPE_EVENT_QUEUE=heap — both dequeue in identical order)
-/// and the callback type is a move-only small-buffer closure — captures up
-/// to the inline budget never touch the allocator. The simulator holds a
-/// typed pointer to the concrete (final) queue next to the owning interface
-/// pointer, so scheduling and stepping are devirtualized and inlined; on the
-/// wheel a popped event's closure even runs in place in its pool node, so a
-/// closure is moved exactly once over its lifetime.
+/// a timing wheel owned by value (its push/pop bodies inline here) and the
+/// callback type is a move-only small-buffer closure — captures up to the
+/// inline budget never touch the allocator. A popped event's closure runs
+/// in place in its pool node, so a closure is moved exactly once over its
+/// lifetime.
 class Simulator {
  public:
   using Callback = SimEvent::Callback;
-
-  /// The queue implementation is fixed at construction;
-  /// default_event_queue_kind() honours the AUTOPIPE_EVENT_QUEUE
-  /// environment variable and otherwise picks the timing wheel.
-  explicit Simulator(EventQueueKind queue_kind = default_event_queue_kind());
 
   /// Current simulated time in seconds.
   Seconds now() const { return now_; }
@@ -78,14 +69,12 @@ class Simulator {
   /// to t precisely.
   void run_until(Seconds t);
 
-  bool empty() const {
-    return wheel_ != nullptr ? wheel_->empty() : heap_->empty();
-  }
+  bool empty() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Events scheduled so far (the next sequence number). The differential
-  /// parity harness checks this alongside events_processed: two queue
-  /// implementations at parity must push and pop in lockstep.
+  /// Events scheduled so far (the next sequence number). The replay check
+  /// compares this alongside events_processed: two runs of one scenario
+  /// must push and pop in lockstep.
   std::uint64_t events_scheduled() const { return next_seq_; }
 
   /// Maximum number of consecutive events the loop will execute at one
@@ -99,9 +88,9 @@ class Simulator {
   /// the timing wheel settles its buckets lazily on first access.
   Seconds next_event_time();
 
-  /// Which queue implementation this simulator was built with.
-  EventQueueKind queue_kind() const { return queue_kind_; }
-  const char* queue_name() const { return queue_->name(); }
+  /// Names the event queue in run metadata; the timing wheel is the only
+  /// one.
+  const char* queue_name() const { return "wheel"; }
 
   /// Event trace for this run. Disabled (and recording nothing) unless
   /// `tracer().set_enabled(true)` is called before the run.
@@ -132,25 +121,22 @@ class Simulator {
   /// treated as on-time in both directions.
   static constexpr Seconds kTimeSlack = 1e-12;
 
-  /// Devirtualized scheduling: the prvalue event materializes straight into
-  /// the concrete queue's push parameter, whose body is inline.
+  /// The prvalue event materializes straight into the wheel's push
+  /// parameter, whose body is inline.
   void schedule(Seconds t, Callback&& fn, const char* label) {
     PROF_SPAN_AGG("sim/queue_push");
     const Seconds when = t < now_ ? now_ : t;
     // Capture the ambient causal context (the trace eid of the event being
     // recorded/executed right now); step() restores it before running fn.
     const std::uint64_t cause = tracer_.current_cause();
-    if (wheel_ != nullptr) {
-      wheel_->push(SimEvent{when, next_seq_++, std::move(fn), label, cause});
-    } else {
-      heap_->push(SimEvent{when, next_seq_++, std::move(fn), label, cause});
-    }
+    queue_.push(SimEvent{when, next_seq_++, std::move(fn), label, cause});
   }
 
   /// Zero-progress guard: a buggy schedule (e.g. a fault event rescheduling
   /// itself at `now`) would otherwise spin forever without advancing time.
-  /// Keys on the event's exact timestamp, never on queue bucket
-  /// granularity, so it behaves identically under the heap and the wheel.
+  /// Keys on the event's exact timestamp, never on wheel bucket
+  /// granularity, so distinct timestamps sharing a bucket never count as
+  /// one instant.
   void check_progress(Seconds t, const char* label) {
     if (t == instant_time_) {
       ++instant_events_;
@@ -166,22 +152,13 @@ class Simulator {
     }
   }
 
-  Seconds peek_time() {
-    return wheel_ != nullptr ? wheel_->peek_time() : heap_->peek_time();
-  }
-
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t zero_progress_bound_ = 1'000'000;
   Seconds instant_time_ = -1.0;       ///< timestamp of the current run
   std::uint64_t instant_events_ = 0;  ///< events executed at instant_time_
-  EventQueueKind queue_kind_;
-  std::unique_ptr<EventQueue> queue_;
-  /// Typed aliases of queue_ (exactly one non-null): the hot path calls the
-  /// final classes directly instead of through the vtable.
-  TimingWheelEventQueue* wheel_ = nullptr;
-  HeapEventQueue* heap_ = nullptr;
+  TimingWheelEventQueue queue_;
   trace::TraceRecorder tracer_;
   trace::MetricsRegistry metrics_;
   trace::DecisionLedger ledger_;

@@ -22,7 +22,7 @@ struct ArtifactOptions {
   /// When > 0, also sample the metrics registry every `timeseries_interval`
   /// sim-seconds and write `<directory>/<label>.ts` (autopipe-ts-v1 — see
   /// docs/TELEMETRY.md). The sampler output is a pure function of the spec,
-  /// so it is byte-identical across --jobs values and event-queue kinds.
+  /// so it is byte-identical across --jobs values and replays.
   double timeseries_interval = 0.0;
 };
 

@@ -111,14 +111,11 @@ TEST(CausalRecorder, ClearResetsEidsAndAmbient) {
 // Ambient threading across the event queue
 // ---------------------------------------------------------------------------
 
-class CausalThreading
-    : public ::testing::TestWithParam<sim::EventQueueKind> {};
-
 // An event recorded inside a callback is caused by the event whose callback
 // *scheduled* that callback — the chain crosses the queue hop even though
 // other callbacks ran in between.
-TEST_P(CausalThreading, CauseCrossesTheQueueHop) {
-  sim::Simulator sim(GetParam());
+TEST(CausalThreading, CauseCrossesTheQueueHop) {
+  sim::Simulator sim;
   sim.tracer().set_enabled(true);
   std::uint64_t parent_eid = 0;
   sim.at(0.0, [&] {
@@ -138,15 +135,6 @@ TEST_P(CausalThreading, CauseCrossesTheQueueHop) {
   EXPECT_EQ(events[2].name, "child");
   EXPECT_EQ(events[2].cause, parent_eid);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothQueues, CausalThreading,
-                         ::testing::Values(sim::EventQueueKind::kHeap,
-                                           sim::EventQueueKind::kWheel),
-                         [](const auto& info) {
-                           return info.param == sim::EventQueueKind::kHeap
-                                      ? "heap"
-                                      : "wheel";
-                         });
 
 // ---------------------------------------------------------------------------
 // Text round-trip and the Chrome flow events
@@ -202,18 +190,6 @@ TEST(CausalGraphTest, GoldenScenarioBuildsACleanDag) {
     EXPECT_LT(e.parent, e.child);
     EXPECT_GE(e.contribution, 0.0);
     EXPECT_FALSE(e.cls.empty());
-  }
-}
-
-TEST(CausalGraphTest, HeapAndWheelProduceIdenticalEdges) {
-  const auto heap =
-      test_scenarios::run_golden_scenario(sim::EventQueueKind::kHeap);
-  const auto wheel =
-      test_scenarios::run_golden_scenario(sim::EventQueueKind::kWheel);
-  ASSERT_EQ(heap.events.size(), wheel.events.size());
-  for (std::size_t i = 0; i < heap.events.size(); ++i) {
-    EXPECT_EQ(heap.events[i].eid, wheel.events[i].eid) << "event " << i;
-    EXPECT_EQ(heap.events[i].cause, wheel.events[i].cause) << "event " << i;
   }
 }
 

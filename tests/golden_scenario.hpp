@@ -1,8 +1,7 @@
-// The shared golden-trace scenario: the fig3 shape in miniature, extracted
-// from trace_test.cpp so the differential parity harness can replay the
-// *same* committed-golden workload under both event-queue implementations.
-// Any edit here changes what the checked-in golden files assert — see
-// tests/golden/bandwidth_drop.trace.
+// The shared golden-trace scenario: the fig3 shape in miniature, shared by
+// the trace, causal and parity tests so each checks the *same*
+// committed-golden workload. Any edit here changes what the checked-in
+// golden files assert — see tests/golden/bandwidth_drop.trace.
 #pragma once
 
 #include <sstream>
@@ -43,12 +42,10 @@ struct GoldenCapture {
 /// every event family the analyzer classifies: compute, flows, saturated
 /// links and a reconfiguration window.
 ///
-/// `kind` selects the event-queue implementation; the committed golden was
-/// recorded before the timing wheel existed, so byte-identity under
-/// kWheel *is* the semantic-preservation proof for the core rewrite.
-inline GoldenCapture run_golden_scenario(
-    sim::EventQueueKind kind = sim::default_event_queue_kind()) {
-  sim::Simulator sim(kind);
+/// The committed golden was recorded before the timing wheel existed, so
+/// byte-identity with it is the semantic-preservation proof for the wheel.
+inline GoldenCapture run_golden_scenario() {
+  sim::Simulator sim;
   sim.tracer().set_enabled(true);
   sim::ClusterConfig config;
   config.num_servers = 2;

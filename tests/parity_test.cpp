@@ -1,13 +1,15 @@
-// Differential parity tier (ctest label `parity`): the timing-wheel event
-// queue must be *observationally identical* to the reference binary heap.
-// Full AutoPipe scenarios — executor + controller + seeded random fault
-// plans + background-tenant churn — run once per queue kind and every
-// artifact is compared byte-for-byte: trace text, decision ledger, metrics,
-// iteration end times (bit-exact doubles) and the push/pop counters.
+// Replay-determinism tier (ctest label `parity`): a full AutoPipe scenario
+// — executor + controller + seeded random fault plans + background-tenant
+// churn, faulted mid-run switches or co-tenant fleets — must replay
+// byte-for-byte. Each case runs the same config twice and compares every
+// artifact: trace text, decision ledger, metrics, time series, causal
+// edges, iteration end times (bit-exact doubles) and the push/pop counters.
 //
-// 50 seeds × (faults + churn) is the acceptance bar for the core rewrite;
-// a handful of structural cases (fault-free, churn-free, golden scenario)
-// pin down the axes separately.
+// 50 seeds × (faults + churn) is the acceptance bar; a handful of
+// structural cases (fault-free, churn-free, the committed golden) pin down
+// the axes separately. Some test names predate the single event queue
+// (they once compared a binary heap with the timing wheel); they are kept
+// so the ctest ids stay stable.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,17 +18,17 @@
 #include <string>
 
 #include "golden_scenario.hpp"
-#include "parity/differential.hpp"
+#include "parity/replay.hpp"
 
 namespace autopipe {
 namespace {
 
-using parity::Divergence;
 using parity::ScenarioConfig;
-using parity::ScenarioResult;
+using scenario::Capture;
+using scenario::Divergence;
 
 // ---------------------------------------------------------------------------
-// Seeded differential sweep: the acceptance bar
+// Seeded replay sweep: the acceptance bar
 // ---------------------------------------------------------------------------
 
 class ParitySeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -36,7 +38,7 @@ TEST_P(ParitySeeds, HeapAndWheelAreByteIdentical) {
   config.seed = GetParam();
   config.inject_faults = true;
   config.background_churn = true;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
@@ -46,7 +48,7 @@ INSTANTIATE_TEST_SUITE_P(FiftySeeds, ParitySeeds,
 // Mid-switch fault split: the seed picks the protocol phase, fault kind and
 // switch mode of a crash point armed against a deterministic mid-run switch,
 // so aborted, rolled-back, retried and abandoned switches are all inside the
-// byte-for-byte heap-vs-wheel contract.
+// byte-for-byte replay contract.
 class ParityMidSwitchSeeds : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -56,7 +58,7 @@ TEST_P(ParityMidSwitchSeeds, AbortedSwitchRunsAreByteIdentical) {
   config.inject_faults = false;  // the crash point is the only fault source
   config.background_churn = true;
   config.mid_switch_faults = true;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
@@ -65,25 +67,23 @@ INSTANTIATE_TEST_SUITE_P(FiftySeeds, ParityMidSwitchSeeds,
 
 // The 50-seed sweeps above diff causal edges through compare(); this pins
 // the artifact itself — a regression that stops stamping eids would make
-// causal_text empty-vs-empty "identical" while gutting the contract.
+// the causal text empty-vs-empty "identical" while gutting the contract.
 TEST_P(ParitySeeds, CausalEdgesAreByteIdenticalAndPresent) {
   ScenarioConfig config;
   config.seed = GetParam();
   config.inject_faults = true;
   config.background_churn = true;
-  const ScenarioResult heap =
-      parity::run_scenario(config, sim::EventQueueKind::kHeap);
-  const ScenarioResult wheel =
-      parity::run_scenario(config, sim::EventQueueKind::kWheel);
-  ASSERT_FALSE(heap.causal_text.empty());
-  EXPECT_EQ(heap.causal_text, wheel.causal_text);
+  const Capture first = parity::run_scenario(config);
+  const Capture replay = parity::run_scenario(config);
+  ASSERT_FALSE(first.causal.empty());
+  EXPECT_EQ(first.causal, replay.causal);
 }
 
 // ---------------------------------------------------------------------------
 // Co-tenant fleet split: N jobs under the greedy-arbiter JobManager on one
 // fabric, with chaos faults and churn on top. Arbitration rides the event
-// queue (claim windows, deny-then-abort follow-ups), so a queue that
-// reorders same-time events would flip winners and diverge loudly here.
+// queue (claim windows, deny-then-abort follow-ups), so any nondeterminism
+// in same-time ordering would flip winners and diverge loudly here.
 // ---------------------------------------------------------------------------
 
 class ParityFleetSeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -94,7 +94,7 @@ TEST_P(ParityFleetSeeds, TwoJobFleetIsByteIdentical) {
   config.inject_faults = true;
   config.background_churn = true;
   config.fleet_jobs = 2;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
@@ -104,7 +104,7 @@ TEST_P(ParityFleetSeeds, EightJobFleetIsByteIdentical) {
   config.inject_faults = true;
   config.background_churn = true;
   config.fleet_jobs = 8;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
@@ -120,7 +120,7 @@ TEST(Parity, FaultFreeScenarioIsByteIdentical) {
   config.seed = 7;
   config.inject_faults = false;
   config.background_churn = false;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
@@ -129,7 +129,7 @@ TEST(Parity, FaultsOnlyScenarioIsByteIdentical) {
   config.seed = 11;
   config.inject_faults = true;
   config.background_churn = false;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
@@ -138,32 +138,34 @@ TEST(Parity, ChurnOnlyScenarioIsByteIdentical) {
   config.seed = 13;
   config.inject_faults = false;
   config.background_churn = true;
-  const Divergence d = parity::run_differential(config);
+  const Divergence d = parity::run_replay(config);
   EXPECT_TRUE(d.identical) << d.report;
 }
 
 TEST(Parity, SameSeedReplaysByteIdenticalPerQueue) {
-  // Determinism within one queue kind is a precondition for the
-  // cross-queue comparison to mean anything.
+  // Runs of other shapes in between must leave nothing behind that the
+  // replay could observe (process-wide caches, allocator-dependent order).
   ScenarioConfig config;
   config.seed = 17;
-  for (const auto kind :
-       {sim::EventQueueKind::kHeap, sim::EventQueueKind::kWheel}) {
-    const ScenarioResult a = parity::run_scenario(config, kind);
-    const ScenarioResult b = parity::run_scenario(config, kind);
-    const Divergence d = parity::compare(a, b);
-    EXPECT_TRUE(d.identical) << a.queue_name << " replay diverged:\n"
-                             << d.report;
-  }
+  const Capture first = parity::run_scenario(config);
+  ScenarioConfig other;
+  other.seed = 18;
+  other.fleet_jobs = 3;
+  parity::run_scenario(other);
+  other.fleet_jobs = 0;
+  other.mid_switch_faults = true;
+  parity::run_scenario(other);
+  const Divergence d = scenario::compare(first, parity::run_scenario(config));
+  EXPECT_TRUE(d.identical) << d.report;
 }
 
 TEST(Parity, DivergenceReportNamesFirstDifference) {
-  ScenarioResult a;
-  a.trace_text = "line one\nline two\n";
-  a.metrics_text = "m=1\n";
-  ScenarioResult b = a;
-  b.trace_text = "line one\nline 2\n";
-  const Divergence d = parity::compare(a, b);
+  Capture a;
+  a.trace = "line one\nline two\n";
+  a.metrics = "m=1\n";
+  Capture b = a;
+  b.trace = "line one\nline 2\n";
+  const Divergence d = scenario::compare(a, b);
   ASSERT_FALSE(d.identical);
   EXPECT_NE(d.report.find("trace: first divergence at line 2"),
             std::string::npos);
@@ -171,32 +173,44 @@ TEST(Parity, DivergenceReportNamesFirstDifference) {
   EXPECT_NE(d.report.find("line 2"), std::string::npos);
 }
 
-// ---------------------------------------------------------------------------
-// The committed golden under both queues
-// ---------------------------------------------------------------------------
-
-TEST(Parity, GoldenScenarioIdenticalUnderBothQueues) {
-  const auto heap =
-      test_scenarios::run_golden_scenario(sim::EventQueueKind::kHeap);
-  const auto wheel =
-      test_scenarios::run_golden_scenario(sim::EventQueueKind::kWheel);
-  EXPECT_FALSE(heap.text.empty());
-  EXPECT_EQ(heap.text, wheel.text);
+TEST(Parity, DivergenceArtifactsHoldReportAndBothCaptures) {
+  Capture a;
+  a.trace = "t1\n";
+  a.causal = "1<-0 mark:a\n";
+  Capture b = a;
+  b.trace = "t2\n";
+  const Divergence d = scenario::compare(a, b);
+  const std::string prefix = ::testing::TempDir() + "parity_divergence";
+  scenario::write_divergence(prefix, a, b, d);
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  EXPECT_EQ(slurp(prefix + ".report.txt"), d.report);
+  EXPECT_EQ(slurp(prefix + ".first.trace"), a.trace);
+  EXPECT_EQ(slurp(prefix + ".replay.trace"), b.trace);
+  EXPECT_EQ(slurp(prefix + ".replay.causal"), b.causal);
 }
 
+// ---------------------------------------------------------------------------
+// The committed golden
+// ---------------------------------------------------------------------------
+
 TEST(Parity, GoldenScenarioWheelMatchesCheckedInGolden) {
-  // The committed golden predates the timing wheel; matching it under the
-  // wheel is the semantic-preservation proof for the core rewrite. This
-  // test never regenerates — a mismatch means the rewrite changed
-  // semantics and must be investigated, not re-recorded.
+  // The committed golden predates the timing wheel; matching it is the
+  // semantic-preservation proof for the wheel, and matching a fixed file
+  // on every run is the replay check for this scenario. This test never
+  // regenerates — a mismatch means the simulator changed semantics and
+  // must be investigated, not re-recorded.
   const std::string path =
       std::string(AUTOPIPE_GOLDEN_DIR) + "/bandwidth_drop.trace";
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "missing golden file " << path;
   std::ostringstream golden;
   golden << in.rdbuf();
-  const auto wheel =
-      test_scenarios::run_golden_scenario(sim::EventQueueKind::kWheel);
+  const auto wheel = test_scenarios::run_golden_scenario();
   EXPECT_EQ(wheel.text, golden.str());
 }
 

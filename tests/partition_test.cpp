@@ -214,20 +214,20 @@ TEST(Neighborhood, CandidatesAreValidAndDistinct) {
   const auto candidates = two_worker_candidates(current);
   EXPECT_FALSE(candidates.empty());
   std::set<std::string> seen;
-  for (const auto& c : candidates) {
-    EXPECT_NE(c.partition, current);
-    EXPECT_FALSE(c.changed_workers.empty());
-    EXPECT_EQ(c.partition.num_layers(), model.num_layers());
-    seen.insert(c.partition.to_string());
+  for (const Partition& c : candidates) {
+    EXPECT_NE(c, current);
+    EXPECT_FALSE(current.changed_workers(c).empty());
+    EXPECT_EQ(c.num_layers(), model.num_layers());
+    seen.insert(c.to_string());
   }
   EXPECT_EQ(seen.size(), candidates.size()) << "duplicate candidates";
 }
 
 TEST(Neighborhood, BoundaryMovesChangeExactlyTwoWorkers) {
   const Partition current = Partition::even_split(12, {0, 1, 2});
-  for (const auto& c : two_worker_candidates(current)) {
+  for (const Partition& c : two_worker_candidates(current)) {
     // Unreplicated stages: every candidate touches exactly two workers.
-    EXPECT_EQ(c.changed_workers.size(), 2u) << c.partition.to_string();
+    EXPECT_EQ(current.changed_workers(c).size(), 2u) << c.to_string();
   }
 }
 
@@ -245,8 +245,8 @@ TEST(Neighborhood, ReachesRebalancedOptimum) {
   const Partition skewed({{0, 6, {0}}, {7, 7, {1}}}, 8);
   const Seconds t0 = analytic_batch_time(model, skewed, env, 8);
   bool improves = false;
-  for (const auto& c : two_worker_candidates(skewed)) {
-    if (analytic_batch_time(model, c.partition, env, 8) < t0) {
+  for (const Partition& c : two_worker_candidates(skewed)) {
+    if (analytic_batch_time(model, c, env, 8) < t0) {
       improves = true;
       break;
     }
@@ -315,11 +315,11 @@ TEST(Neighborhood, ChangedWorkersMatchSetReference) {
     const auto ids = static_cast<std::size_t>(rng.uniform_int(1, 12));
     const Partition current(random_stages(rng, layers, ids), layers);
     const auto candidates = two_worker_candidates(current);
-    for (const Candidate& c : candidates) {
-      EXPECT_EQ(c.changed_workers,
-                reference_changed_workers(current, c.partition))
-          << current.to_string() << " -> " << c.partition.to_string();
-      EXPECT_EQ(c.partition.changed_workers(current), c.changed_workers);
+    for (const Partition& c : candidates) {
+      const std::vector<sim::WorkerId> changed = current.changed_workers(c);
+      EXPECT_EQ(changed, reference_changed_workers(current, c))
+          << current.to_string() << " -> " << c.to_string();
+      EXPECT_EQ(c.changed_workers(current), changed);
     }
     // Unrelated partitions over overlapping id sets: workers that appear on
     // one side only count as changed.

@@ -23,6 +23,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 #include "convergence/dataset.hpp"
 #include "convergence/staleness_sgd.hpp"
 #include "models/zoo.hpp"
@@ -288,7 +289,7 @@ TEST_P(TracingParity, EnabledRunEqualsDisabledRun) {
     executor.set_iteration_callback([&](std::size_t iters) {
       if (iters == 3 && !candidates.empty()) {
         executor.request_switch(
-            candidates[switch_pick % candidates.size()].partition,
+            candidates[switch_pick % candidates.size()],
             switch_mode);
       }
     });
@@ -646,13 +647,14 @@ std::size_t oracle_min(const std::vector<OracleEntry>& oracle) {
 
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The name predates the single event queue; it is kept so the ctest ids
+// stay stable. The vector oracle is the reference.
 TEST_P(EventQueueFuzz, RandomScheduleMatchesOracleOnBothQueues) {
   // Random interleavings of pushes (times spanning the near heap, all three
   // wheel levels, the overflow horizon and +inf) and pops; after every pop
-  // both queues must agree with the oracle's (time, seq) minimum exactly.
+  // the wheel must agree with the oracle's (time, seq) minimum exactly.
   Rng rng(GetParam() * 7919 + 1);
   sim::TimingWheelEventQueue wheel;
-  sim::HeapEventQueue heap;
   std::vector<OracleEntry> oracle;
   std::uint64_t seq = 0;
   Seconds watermark = 0.0;  // last popped time: pushes never go backwards
@@ -671,40 +673,124 @@ TEST_P(EventQueueFuzz, RandomScheduleMatchesOracleOnBothQueues) {
         default: t = std::numeric_limits<Seconds>::infinity(); break;
       }
       wheel.push(sim::SimEvent{t, seq, {}, nullptr});
-      heap.push(sim::SimEvent{t, seq, {}, nullptr});
       oracle.emplace_back(t, seq);
       ++seq;
     } else {
       const std::size_t want = oracle_min(oracle);
       ASSERT_EQ(wheel.peek_time(), oracle[want].first);
       const sim::SimEvent got_w = wheel.pop();
-      const sim::SimEvent got_h = heap.pop();
       ASSERT_EQ(got_w.time, oracle[want].first);
       ASSERT_EQ(got_w.seq, oracle[want].second);
-      ASSERT_EQ(got_h.time, got_w.time);
-      ASSERT_EQ(got_h.seq, got_w.seq);
       if (std::isfinite(got_w.time)) watermark = got_w.time;
       oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(want));
     }
     ASSERT_EQ(wheel.size(), oracle.size());
     ASSERT_EQ(wheel.empty(), oracle.empty());
   }
-  // Drain: the remaining events must come out fully sorted on both queues.
+  // Drain: the remaining events must come out fully sorted.
   while (!oracle.empty()) {
     const std::size_t want = oracle_min(oracle);
     const sim::SimEvent got_w = wheel.pop();
-    const sim::SimEvent got_h = heap.pop();
     ASSERT_EQ(got_w.time, oracle[want].first);
     ASSERT_EQ(got_w.seq, oracle[want].second);
-    ASSERT_EQ(got_h.seq, got_w.seq);
     oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(want));
   }
   EXPECT_TRUE(wheel.empty());
-  EXPECT_TRUE(heap.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
                          ::testing::Range<std::uint64_t>(0, 16));
+
+/// Callbacks that schedule from inside callbacks, through Simulator::at:
+/// every event runs in place in its wheel node (pop_node, the callback,
+/// then release_node), so this drives the Simulator's own dispatch path
+/// rather than the queue's push/pop. Each callback records the vector
+/// oracle's (time, id) minimum, schedules children at random times, and
+/// only then reads its own captured id — a node recycled or overwritten
+/// while its closure is still running shows up as a wrong id (or a crash).
+class NestedScheduleFuzz {
+ public:
+  /// The first callback to run schedules this many children at once: more
+  /// than one 512-node pool chunk, so the pool grows while that callback's
+  /// own node is live.
+  static constexpr int kBurst = 600;
+
+  explicit NestedScheduleFuzz(std::uint64_t seed) : rng_(seed * 7919 + 3) {
+    for (int i = 0; i < 40; ++i) schedule(pick_time());
+  }
+
+  void run() { sim_.run(); }
+
+  sim::Simulator& simulator() { return sim_; }
+  const std::vector<OracleEntry>& expected() const { return expected_; }
+  const std::vector<OracleEntry>& executed() const { return executed_; }
+  std::size_t pending() const { return pending_.size(); }
+
+ private:
+  /// Offsets from now covering an exact tie, the current tick, each wheel
+  /// level (a tick is 1/1024 s and a level 256x the one below), the
+  /// overflow list past the ~16384 s horizon, and +inf.
+  Seconds pick_time() {
+    const Seconds now = sim_.now();
+    switch (rng_.uniform_int(0, 7)) {
+      case 0: return now;
+      case 1: return now + rng_.uniform(0.0, 0.0005);
+      case 2: return now + rng_.uniform(0.0, 0.25);
+      case 3: return now + rng_.uniform(0.25, 64.0);
+      case 4: return now + rng_.uniform(64.0, 16000.0);
+      case 5: return now + 2e7;
+      case 6: return std::numeric_limits<Seconds>::infinity();
+      default: return now + rng_.uniform(0.0, 0.01);
+    }
+  }
+
+  void schedule(Seconds t) {
+    const std::uint64_t id = next_id_++;
+    pending_.emplace_back(t, id);
+    sim_.at(
+        t,
+        [this, id] {
+          const std::size_t want = oracle_min(pending_);
+          expected_.push_back(pending_[want]);
+          pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(want));
+          int children = executed_.empty() ? kBurst
+                                           : static_cast<int>(
+                                                 rng_.uniform_int(0, 2));
+          for (; children > 0 && budget_ > 0; --children, --budget_)
+            schedule(pick_time());
+          executed_.emplace_back(sim_.now(), id);
+        },
+        "nested_fuzz");
+  }
+
+  Rng rng_;
+  sim::Simulator sim_;
+  std::vector<OracleEntry> pending_;
+  std::vector<OracleEntry> expected_;
+  std::vector<OracleEntry> executed_;
+  std::uint64_t next_id_ = 0;
+  int budget_ = 3000;
+};
+
+class SimulatorNestedFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SimulatorNestedFuzz, CallbacksSchedulingCallbacksRunInOracleOrder) {
+  NestedScheduleFuzz fuzz(GetParam());
+  fuzz.run();
+  EXPECT_TRUE(fuzz.simulator().empty());
+  EXPECT_EQ(fuzz.pending(), 0u);
+  ASSERT_EQ(fuzz.executed().size(), fuzz.expected().size());
+  EXPECT_GT(fuzz.executed().size(),
+            static_cast<std::size_t>(NestedScheduleFuzz::kBurst));
+  for (std::size_t i = 0; i < fuzz.executed().size(); ++i) {
+    ASSERT_EQ(fuzz.executed()[i], fuzz.expected()[i]) << "event " << i;
+  }
+  EXPECT_EQ(fuzz.simulator().events_processed(), fuzz.executed().size());
+  EXPECT_EQ(fuzz.simulator().events_scheduled(), fuzz.executed().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorNestedFuzz,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 TEST(EventQueueProperty, SameTimestampDequeuesInSchedulingOrder) {
   // 500 events at one instant: (time, seq) FIFO is the whole contract.

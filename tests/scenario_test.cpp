@@ -65,34 +65,24 @@ Spec with_sinks(Spec spec) {
   return spec;
 }
 
-struct Outputs {
+struct Outcome {
   Summary summary;
-  std::vector<double> iteration_end_times;
-  std::vector<std::string> artifacts;
+  Capture capture;
+  std::string chrome_trace;
 };
 
-Outputs run(const Spec& spec) {
+Outcome run(const Spec& spec) {
   World world(spec);
-  Outputs out;
+  Outcome out;
   out.summary = world.run();
-  if (!spec.fleet.jobs.empty()) {
-    for (const auto& job : world.fleet_report().jobs)
-      out.iteration_end_times.insert(out.iteration_end_times.end(),
-                                     job.report.iteration_end_times.begin(),
-                                     job.report.iteration_end_times.end());
-  } else {
-    out.iteration_end_times = world.report().iteration_end_times;
-  }
-  for (const Artifact a :
-       {Artifact::kTrace, Artifact::kChromeTrace, Artifact::kMetrics,
-        Artifact::kLedger, Artifact::kTimeseries})
-    out.artifacts.push_back(artifact_text(world.simulator(), a));
+  out.capture = capture(world);
+  out.chrome_trace = artifact_text(world.simulator(), Artifact::kChromeTrace);
   return out;
 }
 
-void expect_same_simulation(const Outputs& a, const Outputs& b) {
+void expect_same_simulation(const Outcome& a, const Outcome& b) {
   EXPECT_EQ(a.summary.throughput, b.summary.throughput);
-  EXPECT_EQ(a.iteration_end_times, b.iteration_end_times);
+  EXPECT_EQ(a.capture.iteration_end_times, b.capture.iteration_end_times);
   EXPECT_EQ(a.summary.events, b.summary.events);
   EXPECT_EQ(a.summary.switches, b.summary.switches);
   EXPECT_EQ(a.summary.switch_aborts, b.summary.switch_aborts);
@@ -104,17 +94,19 @@ class ScenarioShapes : public ::testing::TestWithParam<bool> {
 };
 
 TEST_P(ScenarioShapes, SameSpecReplaysByteIdentically) {
-  const Outputs a = run(with_sinks(spec()));
-  const Outputs b = run(with_sinks(spec()));
+  const Outcome a = run(with_sinks(spec()));
+  const Outcome b = run(with_sinks(spec()));
   ASSERT_GT(a.summary.events, 0u);
-  ASSERT_FALSE(a.artifacts[0].empty());  // the trace recorded the run
+  ASSERT_FALSE(a.capture.trace.empty());  // the trace recorded the run
   expect_same_simulation(a, b);
-  EXPECT_EQ(a.artifacts, b.artifacts);
+  const Divergence d = compare(a.capture, b.capture);
+  EXPECT_TRUE(d.identical) << d.report;
+  EXPECT_EQ(a.chrome_trace, b.chrome_trace);
 }
 
 TEST_P(ScenarioShapes, SinksDoNotPerturbTheSimulation) {
-  const Outputs on = run(with_sinks(spec()));
-  const Outputs off = run(spec());
+  const Outcome on = run(with_sinks(spec()));
+  const Outcome off = run(spec());
   expect_same_simulation(on, off);
 }
 

@@ -528,45 +528,37 @@ TEST(BackgroundWorkload, DeterministicAndBalanced) {
 
 // ---------------------------------------------------------------------------
 // Timing-wheel semantics: exact timestamps despite bucketed placement.
-// Every case runs under both queue kinds — same observable behaviour.
 // ---------------------------------------------------------------------------
-
-const EventQueueKind kBothKinds[] = {EventQueueKind::kHeap,
-                                     EventQueueKind::kWheel};
 
 TEST(SimulatorWheel, RunUntilPinsClockInsideABucket) {
   // 0.01000 and 0.01005 share one wheel tick (tick width 1/1024 s ≈
   // 0.977 ms). run_until at a point between them must fire only the first,
   // pin the clock to *exactly* the requested time — not a bucket edge —
   // and leave the later same-bucket event pending.
-  for (const EventQueueKind kind : kBothKinds) {
-    Simulator sim(kind);
-    std::vector<double> fired;
-    sim.at(0.01000, [&] { fired.push_back(sim.now()); });
-    sim.at(0.01005, [&] { fired.push_back(sim.now()); });
-    sim.run_until(0.01002);
-    ASSERT_EQ(fired.size(), 1u) << sim.queue_name();
-    EXPECT_EQ(fired[0], 0.01000);
-    EXPECT_EQ(sim.now(), 0.01002);  // bit-exact, not rounded to a tick
-    EXPECT_FALSE(sim.empty());
-    sim.run();
-    ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[1], 0.01005);
-    EXPECT_EQ(sim.now(), 0.01005);
-  }
+  Simulator sim;
+  std::vector<double> fired;
+  sim.at(0.01000, [&] { fired.push_back(sim.now()); });
+  sim.at(0.01005, [&] { fired.push_back(sim.now()); });
+  sim.run_until(0.01002);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], 0.01000);
+  EXPECT_EQ(sim.now(), 0.01002);  // bit-exact, not rounded to a tick
+  EXPECT_FALSE(sim.empty());
+  sim.run();
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[1], 0.01005);
+  EXPECT_EQ(sim.now(), 0.01005);
 }
 
 TEST(SimulatorWheel, NonTickAlignedTimesFireExactly) {
   // 1/3 s is not representable as a tick multiple; the event must still
   // fire at the exact double it was scheduled at.
-  for (const EventQueueKind kind : kBothKinds) {
-    Simulator sim(kind);
-    const Seconds t = 1.0 / 3.0;
-    Seconds observed = -1.0;
-    sim.at(t, [&] { observed = sim.now(); });
-    sim.run();
-    EXPECT_EQ(observed, t) << sim.queue_name();  // ==, not NEAR
-  }
+  Simulator sim;
+  const Seconds t = 1.0 / 3.0;
+  Seconds observed = -1.0;
+  sim.at(t, [&] { observed = sim.now(); });
+  sim.run();
+  EXPECT_EQ(observed, t);  // ==, not NEAR
 }
 
 TEST(SimulatorWheel, WatchdogStyleCadenceKeepsExactInstants) {
@@ -574,36 +566,36 @@ TEST(SimulatorWheel, WatchdogStyleCadenceKeepsExactInstants) {
   // dt a non-tick-aligned period. Accumulated drift must stay within the
   // simulator's own float-slack model — each firing lands on the exact
   // double the previous callback computed.
-  for (const EventQueueKind kind : kBothKinds) {
-    Simulator sim(kind);
-    const Seconds dt = 0.0007;  // sub-tick period: many events per bucket
-    std::vector<Seconds> scheduled;
-    std::vector<Seconds> observed;
-    std::function<void()> tick = [&] {
-      observed.push_back(sim.now());
-      if (observed.size() < 50) {
-        const Seconds next = sim.now() + dt;
-        scheduled.push_back(next);
-        sim.after(dt, [&] { tick(); }, "watchdog");
-      }
-    };
-    scheduled.push_back(0.001);
-    sim.at(0.001, [&] { tick(); }, "watchdog");
-    sim.run();
-    ASSERT_EQ(observed.size(), 50u);
-    for (std::size_t i = 0; i < observed.size(); ++i)
-      EXPECT_EQ(observed[i], scheduled[i]) << sim.queue_name() << " @" << i;
-  }
+  Simulator sim;
+  const Seconds dt = 0.0007;  // sub-tick period: many events per bucket
+  std::vector<Seconds> scheduled;
+  std::vector<Seconds> observed;
+  std::function<void()> tick = [&] {
+    observed.push_back(sim.now());
+    if (observed.size() < 50) {
+      const Seconds next = sim.now() + dt;
+      scheduled.push_back(next);
+      sim.after(dt, [&] { tick(); }, "watchdog");
+    }
+  };
+  scheduled.push_back(0.001);
+  sim.at(0.001, [&] { tick(); }, "watchdog");
+  sim.run();
+  ASSERT_EQ(observed.size(), 50u);
+  for (std::size_t i = 0; i < observed.size(); ++i)
+    EXPECT_EQ(observed[i], scheduled[i]) << "@" << i;
 }
 
+// The name predates the single event queue; it is kept so the ctest id
+// stays stable.
 TEST(SimulatorWheel, ZeroProgressGuardTripsIdenticallyUnderBothQueues) {
-  for (const EventQueueKind kind : kBothKinds) {
-    Simulator sim(kind);
-    sim.set_zero_progress_bound(64);
-    std::function<void()> loop = [&] { sim.at(sim.now(), [&] { loop(); }, "spin"); };
-    sim.at(1.0, [&] { loop(); }, "spin");
-    EXPECT_THROW(sim.run(), contract_error) << sim.queue_name();
-  }
+  Simulator sim;
+  sim.set_zero_progress_bound(64);
+  std::function<void()> loop = [&] {
+    sim.at(sim.now(), [&] { loop(); }, "spin");
+  };
+  sim.at(1.0, [&] { loop(); }, "spin");
+  EXPECT_THROW(sim.run(), contract_error);
 }
 
 TEST(SimulatorWheel, LegitimateSameInstantCascadeStaysUnderGuard) {
@@ -611,32 +603,23 @@ TEST(SimulatorWheel, LegitimateSameInstantCascadeStaysUnderGuard) {
   // guard keys on exact event timestamps, not on wheel bucket occupancy
   // (many distinct timestamps share one bucket and must not count as one
   // instant).
-  for (const EventQueueKind kind : kBothKinds) {
-    Simulator sim(kind);
-    sim.set_zero_progress_bound(64);
-    int chained = 0;
-    std::function<void()> chain = [&] {
-      if (++chained < 40) sim.at(sim.now(), [&] { chain(); });
-    };
-    sim.at(1.0, [&] { chain(); });
-    // Distinct-but-same-bucket timestamps: each resets the instant counter.
-    for (int i = 0; i < 200; ++i)
-      sim.at(2.0 + static_cast<Seconds>(i) * 1e-6, [] {});
-    sim.run();
-    EXPECT_EQ(chained, 40) << sim.queue_name();
-  }
+  Simulator sim;
+  sim.set_zero_progress_bound(64);
+  int chained = 0;
+  std::function<void()> chain = [&] {
+    if (++chained < 40) sim.at(sim.now(), [&] { chain(); });
+  };
+  sim.at(1.0, [&] { chain(); });
+  // Distinct-but-same-bucket timestamps: each resets the instant counter.
+  for (int i = 0; i < 200; ++i)
+    sim.at(2.0 + static_cast<Seconds>(i) * 1e-6, [] {});
+  sim.run();
+  EXPECT_EQ(chained, 40);
 }
 
-TEST(SimulatorWheel, QueueKindIsReportedAndEnvDefaultHolds) {
-  Simulator wheel(EventQueueKind::kWheel);
-  Simulator heap(EventQueueKind::kHeap);
-  EXPECT_STREQ(wheel.queue_name(), "wheel");
-  EXPECT_STREQ(heap.queue_name(), "heap");
-  EXPECT_EQ(wheel.queue_kind(), EventQueueKind::kWheel);
-  EXPECT_EQ(heap.queue_kind(), EventQueueKind::kHeap);
-  EXPECT_THROW(parse_event_queue_kind("calendar"), contract_error);
-  EXPECT_EQ(parse_event_queue_kind("heap"), EventQueueKind::kHeap);
-  EXPECT_EQ(parse_event_queue_kind("wheel"), EventQueueKind::kWheel);
+TEST(SimulatorWheel, QueueNameIsWheel) {
+  const Simulator sim;
+  EXPECT_STREQ(sim.queue_name(), "wheel");
 }
 
 // ---------------------------------------------------------------------------
@@ -724,25 +707,23 @@ TEST(FlowNetwork, RatingSaturatesWithoutOversubscribing) {
 
 TEST(SimulatorWheel, FaultInstantsFireAtExactTimestamps) {
   // 0.123456 s is far from any tick edge. The worker-state callback must
-  // observe the transition at that exact double under both queues.
-  for (const EventQueueKind kind : kBothKinds) {
-    Simulator sim(kind);
-    ClusterConfig config;
-    config.num_servers = 2;
-    config.gpus_per_server = 1;
-    Cluster cluster(sim, config);
-    std::vector<std::pair<Seconds, bool>> transitions;
-    cluster.set_worker_state_callback(
-        [&](WorkerId, bool up) { transitions.emplace_back(sim.now(), up); });
-    sim.at(0.123456, [&] { cluster.set_worker_down(0); });
-    sim.at(0.654321, [&] { cluster.set_worker_up(0); });
-    sim.run();
-    ASSERT_EQ(transitions.size(), 2u) << sim.queue_name();
-    EXPECT_EQ(transitions[0].first, 0.123456);
-    EXPECT_FALSE(transitions[0].second);
-    EXPECT_EQ(transitions[1].first, 0.654321);
-    EXPECT_TRUE(transitions[1].second);
-  }
+  // observe the transition at that exact double.
+  Simulator sim;
+  ClusterConfig config;
+  config.num_servers = 2;
+  config.gpus_per_server = 1;
+  Cluster cluster(sim, config);
+  std::vector<std::pair<Seconds, bool>> transitions;
+  cluster.set_worker_state_callback(
+      [&](WorkerId, bool up) { transitions.emplace_back(sim.now(), up); });
+  sim.at(0.123456, [&] { cluster.set_worker_down(0); });
+  sim.at(0.654321, [&] { cluster.set_worker_up(0); });
+  sim.run();
+  ASSERT_EQ(transitions.size(), 2u);
+  EXPECT_EQ(transitions[0].first, 0.123456);
+  EXPECT_FALSE(transitions[0].second);
+  EXPECT_EQ(transitions[1].first, 0.654321);
+  EXPECT_TRUE(transitions[1].second);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // `autopipe_trace timeseries`, the host self-profiler and its report
 // builder behind `autopipe_trace profile`, and the determinism contract —
 // the sampled series is a pure function of the event sequence, so it must
-// be byte-identical across sweep --jobs values (the queue-kind half of the
-// contract lives in parity_test via parity::ScenarioResult).
+// be byte-identical across sweep --jobs values (the replay half of the
+// contract lives in parity_test, whose scenario::Capture includes the
+// series).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -533,9 +534,9 @@ std::vector<std::string> timeseries_at_jobs(
 
 TEST(TelemetryParity, TimeseriesBytesIdenticalAcrossThreadCounts) {
   // Churny autopipe scenarios at a fine cadence: any cross-thread leak into
-  // the metrics registry or the sampler would shift a row. The heap/wheel
-  // half of this contract runs in parity_test (50 seeds, timeseries_text
-  // is part of parity::ScenarioResult).
+  // the metrics registry or the sampler would shift a row. The replay half
+  // of this contract runs in parity_test (50 seeds; the time series is
+  // part of scenario::Capture).
   const sweep::SweepSpec spec = sweep::parse_sweep_spec(
       "model = alexnet; servers = 3; gpus-per-server = 1; churn = true;"
       "seed = 1..6; iterations = 12; warmup = 3");

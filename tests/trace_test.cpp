@@ -153,7 +153,7 @@ TEST(TraceRecorder, TextFormatIsStable) {
 
 // ---------------------------------------------------------------------------
 // Scenario helpers (the golden scenario itself lives in golden_scenario.hpp,
-// shared with the differential parity harness)
+// shared with the causal and parity tests)
 // ---------------------------------------------------------------------------
 
 using test_scenarios::GoldenCapture;

@@ -3,8 +3,9 @@
 #
 # Each report becomes one JSON line in bench/history/<stem>.jsonl (stem =
 # basename without the BENCH_ prefix and .json suffix), stamped with the
-# UTC time and the current commit so perf trends stay queryable across
-# PRs:
+# UTC time, the current commit and whether tracked files differ from it
+# ("dirty": true means the row came from uncommitted sources and does not
+# describe that commit), so perf trends stay queryable across commits:
 #
 #   tools/bench_history.sh BENCH_sweep.json [BENCH_decisions.json ...]
 #
@@ -28,6 +29,13 @@ if ! command -v python3 > /dev/null 2>&1; then
 fi
 
 commit="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# The history files themselves are left out: appending a row must not make
+# the next row of the same check run look dirty.
+dirty=false
+if [[ -n "$(git -C "$repo" status --porcelain --untracked-files=no \
+              -- . ':!bench/history' 2>/dev/null)" ]]; then
+  dirty=true
+fi
 mkdir -p "$history_dir"
 
 for report in "$@"; do
@@ -35,7 +43,7 @@ for report in "$@"; do
     echo "bench_history: no such report '$report'; skipping" >&2
     continue
   fi
-  HIST_DIR="$history_dir" COMMIT="$commit" python3 - "$report" <<'PY'
+  HIST_DIR="$history_dir" COMMIT="$commit" DIRTY="$dirty" python3 - "$report" <<'PY'
 import json, os, sys, datetime
 
 report = sys.argv[1]
@@ -54,22 +62,25 @@ except (OSError, ValueError) as e:
     sys.exit(0)  # accumulation step, never a gate
 
 commit = os.environ["COMMIT"]
+dirty = os.environ["DIRTY"] == "true"
 entry = {
     "schema": "autopipe-bench-history-v1",
     "commit": commit,
+    "dirty": dirty,
     "utc": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
     "report": os.path.basename(report),
     "data": data,
 }
 
-# Same report at the same commit: replace nothing, append nothing.
+# Same report from the same sources: replace nothing, append nothing.
 try:
     with open(out) as f:
         lines = f.readlines()
     if lines:
         last = json.loads(lines[-1])
-        if last.get("commit") == commit and last.get("data") == data:
+        if (last.get("commit") == commit and last.get("dirty", False) == dirty
+                and last.get("data") == data):
             print(f"bench_history: {stem} already recorded at {commit}")
             sys.exit(0)
 except FileNotFoundError:

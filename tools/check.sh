@@ -5,10 +5,12 @@
 # non-zero on the first failure.
 #
 #   tools/check.sh                # plain RelWithDebInfo build
-#   tools/check.sh --sanitize     # ASan+UBSan build in build-asan/
+#   tools/check.sh --sanitize     # ASan+UBSan build in build-asan/ (appends
+#                                 # no bench/history rows: sanitized timings
+#                                 # are not perf data)
 #   tools/check.sh --ledger-smoke # build + ledger smoke only (fast)
 #   tools/check.sh --sweep-smoke  # build + baseline-gated sweep only (fast)
-#   tools/check.sh --parity       # build + heap-vs-wheel differential only
+#   tools/check.sh --parity       # build + replay-determinism harness only
 #   tools/check.sh --telemetry    # build + time-series/profiler smoke only
 #   tools/check.sh --chaos-switch # build + mid-switch crash-point matrix only
 #   tools/check.sh --causal       # build + causal blame & overhead gate only
@@ -20,6 +22,7 @@ build="${BUILD_DIR:-$repo/build}"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 cmake_args=()
+append_history=1
 ledger_smoke_only=0
 sweep_smoke_only=0
 parity_only=0
@@ -30,6 +33,7 @@ cotenancy_only=0
 if [[ "${1:-}" == "--sanitize" ]]; then
   build="${BUILD_DIR:-$repo/build-asan}"
   cmake_args+=(-DAUTOPIPE_SANITIZE=ON)
+  append_history=0
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 elif [[ "${1:-}" == "--ledger-smoke" ]]; then
@@ -51,6 +55,14 @@ elif [[ $# -gt 0 ]]; then
   exit 2
 fi
 
+# Append BENCH_*.json reports to bench/history/ (tools/bench_history.sh),
+# except from a sanitized build.
+record_history() {
+  if [[ "$append_history" == 1 ]]; then
+    "$repo/tools/bench_history.sh" "$@"
+  fi
+}
+
 # Deterministic controller scenario with the decision ledger on; every
 # record must reach a terminal outcome and the text form must round-trip
 # through the reader byte-for-byte (autopipe_trace decisions --check).
@@ -65,14 +77,14 @@ ledger_smoke() {
   "$build/tools/autopipe_trace" decisions "$tmp/run.ledger" --check
   "$build/tools/autopipe_trace" calibration \
       "$tmp/run.ledger" "$tmp/run.trace" --json > "$tmp/BENCH_decisions.json"
-  "$repo/tools/bench_history.sh" "$tmp/BENCH_decisions.json"
+  record_history "$tmp/BENCH_decisions.json"
 }
 
-# Heap-vs-wheel differential: the same chaos scenarios through the binary
-# heap (reference) and the timing wheel (candidate) must produce
-# byte-identical traces, ledgers, metrics and iteration timelines. On
-# divergence the harness drops per-seed artifacts under
-# $build/parity-artifacts (see docs/SIMULATOR.md).
+# Replay determinism: every seeded chaos scenario runs once in the --jobs
+# pool and once more serially, and both runs must produce byte-identical
+# traces, ledgers, metrics, time series, causal edges, iteration timelines
+# and event counts. On divergence the harness drops per-seed artifacts
+# under $build/parity-artifacts (see docs/SIMULATOR.md).
 parity_smoke() {
   echo "== parity smoke =="
   "$build/bench/parity_harness" --seeds=12 --jobs=4 \
@@ -91,7 +103,7 @@ sweep_smoke() {
   "$build/tools/autopipe_sweep" --spec="@$repo/bench/sweeps/smoke.sweep" \
       --jobs=4 --tolerance=0.10 --out="$tmp/BENCH_sweep.json" \
       --baseline="$repo/bench/baselines/sweep_smoke_baseline.json"
-  "$repo/tools/bench_history.sh" "$tmp/BENCH_sweep.json"
+  record_history "$tmp/BENCH_sweep.json"
 }
 
 # Co-tenant fleet smoke: the 4-job mixed-model fleets with one injected
@@ -110,14 +122,14 @@ cotenancy_smoke() {
   "$build/bench/cotenancy_fleet" --tolerance=0.10 \
       --out="$tmp/BENCH_cotenancy.json" \
       --baseline="$repo/bench/baselines/cotenancy_baseline.json"
-  "$repo/tools/bench_history.sh" "$tmp/BENCH_cotenancy.json"
+  record_history "$tmp/BENCH_cotenancy.json"
 }
 
 # Mid-switch crash-point matrix: every (switch mode x protocol phase x
 # fault kind) cell gets a deterministic fault fired at that phase boundary;
 # each run must conserve per-layer weights across abort/rollback/retry,
 # land in a consistent layout, resolve every attempt in the ledger, and
-# replay byte-identically heap-vs-wheel (see docs/FAULTS.md).
+# replay byte-identically (see docs/FAULTS.md).
 chaos_switch_smoke() {
   echo "== chaos-switch smoke =="
   "$build/bench/chaos_switch" --seeds=5 \
@@ -140,7 +152,7 @@ telemetry_smoke() {
   "$build/tools/autopipe_trace" timeseries "$tmp/run.ts"
   "$build/tools/autopipe_trace" timeseries "$tmp/run.ts" --json \
       > "$tmp/BENCH_timeseries.json"
-  "$repo/tools/bench_history.sh" "$tmp/BENCH_timeseries.json"
+  record_history "$tmp/BENCH_timeseries.json"
   "$build/tools/autopipe_trace" profile "$tmp/run.prof" --top=5
   "$build/tools/autopipe_trace" profile "$tmp/run.prof" --flame > /dev/null
   local baseline_ns
