@@ -177,26 +177,12 @@ partition::PlanResult plan_refined(const Testbed& testbed,
   const auto env = partition::EnvironmentView::from_cluster(
       *testbed.cluster, framework, scheme);
   partition::PlanResult plan = plan_current(testbed, model, framework, scheme);
-  const std::size_t batch = model.default_batch_size();
-  Seconds best = partition::analytic_batch_time(model, plan.partition, env,
-                                                batch);
-  for (int round = 0; round < 50; ++round) {
-    bool improved = false;
-    for (const auto& candidate :
-         partition::two_worker_candidates(plan.partition)) {
-      const Seconds t = partition::analytic_batch_time(model,
-                                                       candidate,
-                                                       env, batch);
-      if (t < best * 0.999) {
-        best = t;
-        plan.partition = candidate;
-        improved = true;
-      }
-    }
-    if (!improved) break;
-  }
+  partition::Descent refined =
+      partition::descend(model, std::move(plan.partition), env,
+                         model.default_batch_size(), 50);
+  plan.partition = std::move(refined.partition);
   plan.in_flight = partition::optimal_in_flight(plan.partition);
-  plan.predicted_batch_time = best;
+  plan.predicted_batch_time = refined.batch_time;
   return plan;
 }
 

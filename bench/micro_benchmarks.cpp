@@ -4,10 +4,14 @@
 // AutoPipe adds to a training job (the paper reports < 1% CPU).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "autopipe/features.hpp"
 #include "common/profile.hpp"
 #include "autopipe/meta_network.hpp"
 #include "models/zoo.hpp"
+#include "partition/analytic_eval.hpp"
 #include "partition/neighborhood.hpp"
 #include "partition/pipedream_planner.hpp"
 #include "pipeline/executor.hpp"
@@ -110,6 +114,40 @@ void BM_NeighborhoodEnumeration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborhoodEnumeration);
+
+// One decision round's analytic pricing of the two-worker neighbourhood of
+// a bert48 16-stage partition on a heterogeneous 16-GPU environment.
+// Arg 0 materialises every candidate and runs analytic_batch_time on it
+// (the path the controller used to take); arg 1 builds one MoveScorer and
+// prices each move by edit.
+void BM_NeighbourhoodScore(benchmark::State& state) {
+  const auto model = models::bert48();
+  std::vector<sim::WorkerId> workers(16);
+  partition::EnvironmentView env;
+  for (sim::WorkerId w = 0; w < workers.size(); ++w) {
+    workers[w] = w;
+    env.worker_speed.push_back(tflops(w % 3 == 0 ? 2.0 : 4.0));
+    env.worker_bandwidth.push_back(gbps(w % 4 == 0 ? 10.0 : 25.0));
+  }
+  const auto p = partition::Partition::even_split(model.num_layers(), workers);
+  const std::size_t batch = model.default_batch_size();
+  const bool by_edit = state.range(0) == 1;
+  for (auto _ : state) {
+    Seconds best = 0.0;
+    if (by_edit) {
+      const partition::MoveScorer scorer(model, p, env, batch);
+      for (const auto& move : partition::two_worker_moves(p))
+        best = std::max(best, scorer.batch_time(move));
+    } else {
+      for (const auto& c : partition::two_worker_candidates(p))
+        best = std::max(best, partition::analytic_batch_time(model, c, env,
+                                                             batch));
+    }
+    benchmark::DoNotOptimize(best);
+  }
+  state.SetLabel(by_edit ? "MoveScorer" : "materialise + analytic");
+}
+BENCHMARK(BM_NeighbourhoodScore)->Arg(0)->Arg(1);
 
 void BM_MetaNetworkPredict(benchmark::State& state) {
   const core::FeatureEncoder encoder;

@@ -312,7 +312,7 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
             validation_.reset();
             return;
           }
-          rejected_.insert(executor_.current_partition().to_string());
+          reject(executor_.current_partition());
           // The revert is itself a staged switch: track it so a fault
           // mid-revert retries with backoff (but never re-validates it).
           drop_tracked_switch("revert");
@@ -396,9 +396,11 @@ double AutoPipeController::predict_speed(
 }
 
 bool AutoPipeController::is_rejected(const partition::Partition& p) const {
-  // Formatting the key costs more than the lookup; skip both while the
-  // set is empty, as it is outside a regime with a failed switch.
-  return !rejected_.empty() && rejected_.count(p.to_string()) > 0;
+  return std::find(rejected_.begin(), rejected_.end(), p) != rejected_.end();
+}
+
+void AutoPipeController::reject(const partition::Partition& p) {
+  if (!is_rejected(p)) rejected_.push_back(p);
 }
 
 double AutoPipeController::baseline_period() const {
@@ -440,7 +442,7 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
   // controller plans over its owned subset (dense via scoped_snapshot) and
   // maps the result back onto its real cluster worker ids; the descent and
   // rebalance below evaluate with the full-cluster env, which indexes by
-  // real id and never leaves the owned set (two_worker_candidates only
+  // real id and never leaves the owned set (a two-worker move only
   // permutes workers already in the partition).
   partition::PlanResult plan = [&] {
     if (!job_scoped()) {
@@ -461,23 +463,9 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
     return scoped_plan;
   }();
   // Refine with a short neighbourhood descent under the integrated model.
-  Seconds best = partition::analytic_batch_time(executor_.model(),
-                                                plan.partition, env,
-                                                executor_.batch_size());
-  for (int round = 0; round < 20; ++round) {
-    bool improved = false;
-    for (const auto& candidate :
-         partition::two_worker_candidates(plan.partition)) {
-      const Seconds t = partition::analytic_batch_time(
-          executor_.model(), candidate, env, executor_.batch_size());
-      if (t < best * 0.999) {
-        best = t;
-        plan.partition = candidate;
-        improved = true;
-      }
-    }
-    if (!improved) break;
-  }
+  partition::Descent refined =
+      partition::descend(executor_.model(), std::move(plan.partition), env,
+                         executor_.batch_size(), 20);
   // Heterogeneity-aware alternative: keep the current stage structure but
   // re-draw the layer boundaries in proportion to the profiled speeds. This
   // escapes the multi-slow-stage local optimum the count-based DP and the
@@ -487,12 +475,11 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
       executor_.batch_size());
   const Seconds rebalanced_time = partition::analytic_batch_time(
       executor_.model(), rebalanced, env, executor_.batch_size());
-  if (rebalanced_time < best) {
-    best = rebalanced_time;
-    plan.partition = std::move(rebalanced);
+  if (rebalanced_time < refined.batch_time) {
+    refined = {std::move(rebalanced), rebalanced_time};
   }
-  return {std::move(plan.partition),
-          static_cast<double>(executor_.batch_size()) / best};
+  return {std::move(refined.partition),
+          static_cast<double>(executor_.batch_size()) / refined.batch_time};
 }
 
 bool AutoPipeController::pursue_target() {
@@ -665,36 +652,59 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
     }
   }
 
-  auto candidates = partition::two_worker_candidates(current);
-  stats_.candidates_evaluated += candidates.size();
+  const auto moves = partition::two_worker_moves(current);
+  stats_.candidates_evaluated += moves.size();
+  // A move only permutes the workers already in `current`, so every
+  // candidate is exactly as reachable as `current`.
+  const bool reachable = partition_reachable(current);
+  const bool check_rejected = config_.validate_switches && !rejected_.empty();
+  // The analytic predictor prices a move without building its partition.
+  const bool learned = meta_ != nullptr && config_.use_meta_network;
+  std::optional<partition::MoveScorer> scorer;
+  if (!learned) {
+    scorer.emplace(executor_.model(), current, env, executor_.batch_size());
+  }
 
   // Per-candidate switch costs are estimated only for the ledger; the
   // decision itself still gates on the best candidate's estimate below.
   double best_speed = 0.0;
-  const partition::Partition* best = nullptr;
-  for (const auto& candidate : candidates) {
+  const partition::Move* best_move = nullptr;
+  for (const partition::Move& move : moves) {
+    // The whole partition, built on first use by the readers that need one:
+    // the rejected set, the ledger row and the learned predictor.
+    std::optional<partition::Partition> built;
+    const auto candidate = [&]() -> const partition::Partition& {
+      if (!built) built = partition::apply_move(current, move);
+      return *built;
+    };
     const bool skipped =
-        !partition_reachable(candidate) ||  // faulted destination
+        !reachable ||  // faulted destination
         // measured worse than predicted earlier in this regime
-        (config_.validate_switches && is_rejected(candidate));
+        (check_rejected && is_rejected(candidate()));
     if (skipped) {
       if (ledger_on) {
         trace::CandidateScore cs;
-        cs.partition = compact_partition(candidate);
+        cs.partition = compact_partition(candidate());
         cs.skipped = true;
         rec.candidates.push_back(std::move(cs));
       }
       continue;
     }
-    const double speed = predict_speed(snapshot, env, candidate);
+    double speed = 0.0;
+    if (learned) {
+      speed = predict_speed(snapshot, env, candidate());
+    } else {
+      PROF_SPAN_AGG("predictor/infer");
+      speed = scorer->throughput(move);
+    }
     if (ledger_on) {
       const SwitchCostEstimate cost = analytic_switch_cost(
-          executor_.model(), current, candidate, env,
+          executor_.model(), current, candidate(), env,
           snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
           partition::optimal_in_flight(current),
           executor_.config().switch_overhead_per_layer);
       trace::CandidateScore cs;
-      cs.partition = compact_partition(candidate);
+      cs.partition = compact_partition(candidate());
       cs.predicted_speed = speed;
       cs.cost_fine = cost.fine_grained;
       cs.cost_stw = cost.stop_the_world;
@@ -705,11 +715,13 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
           trace::Category::kControl, "predict", cluster_.simulator().now(),
           trace::kPidControl, 1, {trace::arg("speed", speed)});
     }
-    if (best == nullptr || speed > best_speed) {
+    if (best_move == nullptr || speed > best_speed) {
       best_speed = speed;
-      best = &candidate;
+      best_move = &move;
     }
   }
+  std::optional<partition::Partition> best;
+  if (best_move != nullptr) best = partition::apply_move(current, *best_move);
 
   const auto wall1 = std::chrono::steady_clock::now();
   stats_.last_decision_wall_seconds =
@@ -721,17 +733,17 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   // unprofitable switches is precisely its job, and declined proposals
   // still produce reward observations.
   const bool below_floor =
-      best == nullptr ||
+      !best ||
       best_speed <= current_speed * (1.0 + config_.candidate_gain_floor);
   if (below_floor &&
       (config_.arbiter_mode != ControllerConfig::ArbiterMode::kRl ||
-       best == nullptr)) {
+       !best)) {
     if (ledger_on) {
       // No candidate cleared the gain floor: an implicit hold, recorded so
       // the round still joins to a realized (status-quo) speed.
       rec.action = trace::DecisionAction::kHold;
       rec.chosen_pred = current_speed;
-      rec.best_pred = best != nullptr ? best_speed : current_speed;
+      rec.best_pred = best ? best_speed : current_speed;
       rec.arbiter = "floor";
       const std::uint64_t id = ledger().add(std::move(rec));
       probes_.push_back(
@@ -800,7 +812,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
         {trace::arg("current_speed", current_speed),
          trace::arg("best_speed", best_speed),
          trace::arg("cost_seconds", cost_seconds),
-         trace::arg("candidates", candidates.size())});
+         trace::arg("candidates", moves.size())});
   }
 
   if (agent_) {
@@ -1172,7 +1184,7 @@ void AutoPipeController::on_switch_event(
                        a.abort_reason);
       }
       if (a.abort_reason == "tenant_contention")
-        rejected_.insert(tracked_switch_->target.to_string());
+        reject(tracked_switch_->target);
       tracked_switch_.reset();
       ++retry_epoch_;
     }
@@ -1265,7 +1277,7 @@ void AutoPipeController::abandon_tracked_switch() {
   }
   // Repeated fault pressure on this exact move: skip it until the
   // environment changes again.
-  rejected_.insert(t.target.to_string());
+  reject(t.target);
 }
 
 void AutoPipeController::drop_tracked_switch(const std::string& reason) {

@@ -14,7 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "autopipe/features.hpp"
 #include "autopipe/meta_network.hpp"
@@ -213,6 +213,8 @@ class AutoPipeController {
                        const partition::Partition& candidate);
   /// True when `p` was measured worse than predicted in this regime.
   bool is_rejected(const partition::Partition& p) const;
+  /// Add `p` to the rejected list (once).
+  void reject(const partition::Partition& p);
   void settle_pending_reward(const ProfileSnapshot& snapshot);
   /// Median of the recent iteration periods.
   double baseline_period() const;
@@ -340,8 +342,9 @@ class AutoPipeController {
   /// switch is validated against.
   std::deque<double> recent_period_;
   /// Partitions that measured worse than predicted after adoption; skipped
-  /// until the environment changes again.
-  std::unordered_set<std::string> rejected_;
+  /// until the environment changes again. A regime change clears the list,
+  /// so it stays short and is searched with ==.
+  std::vector<partition::Partition> rejected_;
 
   std::vector<SpeedSample> adaptation_buffer_;
   Stats stats_;

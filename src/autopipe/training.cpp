@@ -58,21 +58,21 @@ Scenario make_scenario(const models::ModelSpec& model,
   return s;
 }
 
-partition::Partition perturb(const partition::Partition& base,
-                             std::size_t max_moves, Rng& rng) {
+}  // namespace
+
+partition::Partition perturb_partition(const partition::Partition& base,
+                                       std::size_t max_moves, Rng& rng) {
   partition::Partition current = base;
-  const auto moves = rng.uniform_int(0, static_cast<std::int64_t>(max_moves));
-  for (std::int64_t i = 0; i < moves; ++i) {
-    auto candidates = partition::two_worker_candidates(current);
-    if (candidates.empty()) break;
+  const auto steps = rng.uniform_int(0, static_cast<std::int64_t>(max_moves));
+  for (std::int64_t i = 0; i < steps; ++i) {
+    const auto moves = partition::two_worker_moves(current);
+    if (moves.empty()) break;
     const auto pick = static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(candidates.size()) - 1));
-    current = candidates[pick];
+        0, static_cast<std::int64_t>(moves.size()) - 1));
+    current = partition::apply_move(current, moves[pick]);
   }
   return current;
 }
-
-}  // namespace
 
 std::vector<SpeedSample> generate_speed_dataset(
     const models::ModelSpec& model, std::size_t count, std::uint64_t seed,
@@ -84,7 +84,8 @@ std::vector<SpeedSample> generate_speed_dataset(
   for (std::size_t n = 0; n < count; ++n) {
     Scenario s = make_scenario(model, scenario, rng);
     partition::Partition p =
-        perturb(s.plan->partition, scenario.max_partition_perturbations, rng);
+        perturb_partition(s.plan->partition,
+                          scenario.max_partition_perturbations, rng);
 
     pipeline::ExecutorConfig ec;
     ec.framework = scenario.framework;

@@ -12,6 +12,7 @@
 #include "autopipe/features.hpp"
 #include "autopipe/meta_network.hpp"
 #include "comm/framework.hpp"
+#include "common/rng.hpp"
 #include "models/model.hpp"
 #include "rl/dqn.hpp"
 
@@ -34,6 +35,12 @@ struct ScenarioConfig {
   std::size_t measure_iterations = 4;
   std::size_t warmup_iterations = 2;
 };
+
+/// Up to `max_moves` random two-worker moves applied to `base` (the count
+/// and each move drawn from `rng`), diversifying the partitions the speed
+/// dataset sees.
+partition::Partition perturb_partition(const partition::Partition& base,
+                                       std::size_t max_moves, Rng& rng);
 
 /// Generate `count` simulator-labelled speed samples.
 std::vector<SpeedSample> generate_speed_dataset(

@@ -18,6 +18,7 @@
 #include "models/zoo.hpp"
 #include "partition/analytic_eval.hpp"
 #include "partition/pipedream_planner.hpp"
+#include "partition_fixtures.hpp"
 #include "pipeline/executor.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
@@ -383,6 +384,42 @@ TEST(ResourceMonitor, CapacityStepDuringPersistenceHoldStillFires) {
   EXPECT_TRUE(change.changed);
   EXPECT_GT(change.magnitude, 0.6);  // reported against the latest reading
   EXPECT_FALSE(monitor.update(snap).changed);  // baseline snapped to 30
+}
+
+TEST(Training, PerturbMatchesTheCopyingPath) {
+  // perturb_partition draws from two_worker_moves and builds only the pick;
+  // the speed dataset depends on it drawing the same count and indices as
+  // the path that materialised every candidate.
+  const auto copying = [](const partition::Partition& base,
+                          std::size_t max_moves, Rng& rng) {
+    partition::Partition current = base;
+    const auto moves =
+        rng.uniform_int(0, static_cast<std::int64_t>(max_moves));
+    for (std::int64_t i = 0; i < moves; ++i) {
+      auto candidates =
+          partition::fixtures::reference_two_worker_candidates(current);
+      if (candidates.empty()) break;
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(candidates.size()) - 1));
+      current = candidates[pick];
+    }
+    return current;
+  };
+  const std::vector<partition::Partition> bases = {
+      partition::Partition::even_split(12, {0, 1, 2, 3}),
+      partition::Partition({{0, 3, {0, 4}}, {4, 4, {2}}, {5, 11, {1, 3, 6}}},
+                           12),
+      partition::Partition::single_stage(12, {5}),
+  };
+  for (const auto& base : bases) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Rng a(seed), b(seed);
+      EXPECT_EQ(perturb_partition(base, 6, a), copying(base, 6, b))
+          << base.to_string() << " seed " << seed;
+      EXPECT_EQ(a.uniform_int(0, 1 << 30), b.uniform_int(0, 1 << 30))
+          << "the RNG streams diverged";
+    }
+  }
 }
 
 TEST(Controller, ThresholdModeAdaptsToBandwidthDrop) {

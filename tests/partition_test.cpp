@@ -19,6 +19,7 @@
 #include "partition/pipedream_planner.hpp"
 #include "partition/rebalance.hpp"
 #include "common/stats.hpp"
+#include "partition_fixtures.hpp"
 
 namespace autopipe::partition {
 namespace {
@@ -273,40 +274,7 @@ std::vector<sim::WorkerId> reference_changed_workers(const Partition& a,
   return changed;
 }
 
-/// Random stages over `layers` layers: 1..min(layers, ids) stages, each
-/// holding one or more workers drawn without repetition from
-/// [0, 2 * ids) — replicated stages and non-contiguous ids included.
-std::vector<StageAssignment> random_stages(Rng& rng, std::size_t layers,
-                                           std::size_t ids) {
-  std::vector<sim::WorkerId> pool(2 * ids);
-  for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = i;
-  rng.shuffle(pool);
-  const auto workers = static_cast<std::size_t>(
-      rng.uniform_int(1, static_cast<std::int64_t>(ids)));
-  const auto num_stages = static_cast<std::size_t>(rng.uniform_int(
-      1, static_cast<std::int64_t>(std::min(layers, workers))));
-  // Distinct cut points split the layers; workers fill every stage once,
-  // then the rest land on random stages.
-  std::vector<std::size_t> cuts(layers - 1);
-  for (std::size_t i = 0; i < cuts.size(); ++i) cuts[i] = i + 1;
-  rng.shuffle(cuts);
-  cuts.resize(num_stages - 1);
-  std::sort(cuts.begin(), cuts.end());
-  std::vector<StageAssignment> stages(num_stages);
-  for (std::size_t s = 0; s < num_stages; ++s) {
-    stages[s].first_layer = s == 0 ? 0 : cuts[s - 1];
-    stages[s].last_layer = s + 1 < num_stages ? cuts[s] - 1 : layers - 1;
-    stages[s].workers.push_back(pool[s]);
-  }
-  for (std::size_t i = num_stages; i < workers; ++i) {
-    const auto s = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(num_stages) - 1));
-    stages[s].workers.push_back(pool[i]);
-  }
-  for (auto& stage : stages)
-    std::sort(stage.workers.begin(), stage.workers.end());
-  return stages;
-}
+using fixtures::random_stages;
 
 TEST(Neighborhood, ChangedWorkersMatchSetReference) {
   Rng rng(4242);
@@ -361,6 +329,144 @@ TEST(Neighborhood, MalformedEditsOfRandomPartitionsThrow) {
     if (shrunk.last_layer > shrunk.first_layer) {
       --shrunk.last_layer;
       EXPECT_THROW(Partition(gap, layers), contract_error);
+    }
+  }
+}
+
+TEST(Neighborhood, MovesReproduceTheCopyingEnumerator) {
+  // two_worker_moves + apply_move against the enumerator as first written:
+  // same candidates, same order (the controller's tie-breaks, the
+  // descent's pick and the training RNG all depend on the order).
+  Rng rng(5150);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto layers = static_cast<std::size_t>(rng.uniform_int(1, 30));
+    const auto ids = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const Partition current(random_stages(rng, layers, ids), layers);
+    const auto reference = fixtures::reference_two_worker_candidates(current);
+    const auto moves = two_worker_moves(current);
+    ASSERT_EQ(moves.size(), reference.size()) << current.to_string();
+    for (std::size_t i = 0; i < moves.size(); ++i)
+      EXPECT_EQ(apply_move(current, moves[i]), reference[i])
+          << current.to_string() << " move " << i;
+    EXPECT_EQ(two_worker_candidates(current), reference);
+  }
+}
+
+TEST(Neighborhood, EveryMoveKeepsTheWorkerSet) {
+  Rng rng(6021);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto layers = static_cast<std::size_t>(rng.uniform_int(1, 30));
+    const auto ids = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const Partition current(random_stages(rng, layers, ids), layers);
+    auto workers = current.all_workers();
+    std::sort(workers.begin(), workers.end());
+    for (const Move& move : two_worker_moves(current)) {
+      auto moved = apply_move(current, move).all_workers();
+      std::sort(moved.begin(), moved.end());
+      EXPECT_EQ(moved, workers) << current.to_string();
+    }
+  }
+}
+
+TEST(Neighborhood, MalformedMovesThrow) {
+  const Partition p({{0, 0, {0}}, {1, 3, {1, 2}}, {4, 5, {3}}}, 6);
+  // Not adjacent, out of range, emptying a stage, re-homing a lone worker.
+  EXPECT_THROW(apply_move(p, Move{Move::Kind::kLayers, 0, 2, 1}),
+               contract_error);
+  EXPECT_THROW(apply_move(p, Move{Move::Kind::kLayers, 2, 3, 1}),
+               contract_error);
+  EXPECT_THROW(apply_move(p, Move{Move::Kind::kLayers, 0, 1, 1}),
+               contract_error);
+  EXPECT_THROW(apply_move(p, Move{Move::Kind::kWorker, 0, 1, 0}),
+               contract_error);
+  const auto model = tiny_model(6);
+  const auto env = uniform_env(4, 1e9, 1e9);
+  const MoveScorer scorer(model, p, env, 8);
+  EXPECT_THROW(scorer.batch_time(Move{Move::Kind::kLayers, 0, 2, 1}),
+               contract_error);
+  EXPECT_THROW(scorer.batch_time(Move{Move::Kind::kLayers, 1, 0, 3}),
+               contract_error);
+  EXPECT_THROW(scorer.batch_time(Move{Move::Kind::kWorker, 2, 1, 0}),
+               contract_error);
+}
+
+TEST(MoveScorer, MatchesAnalyticTimeOnHandPickedShapes) {
+  const auto model = tiny_model(8);
+  // Distinct per-worker speeds and bandwidths (no ties between stages or
+  // boundaries to hide a missed term), the bandwidth low enough that
+  // boundary transfers compete with stage costs.
+  EnvironmentView env = uniform_env(12, 1e9, 1e10);
+  for (std::size_t w = 0; w < 12; ++w) {
+    env.worker_speed[w] = 1e9 * (1.0 + 0.13 * static_cast<double>(w));
+    env.worker_bandwidth[w] = 5e4 * (1.0 + 0.07 * static_cast<double>(w));
+  }
+  const std::vector<Partition> shapes = {
+      // single stage, replicated and not: no moves, only the current time
+      Partition({{0, 7, {3}}}, 8),
+      Partition({{0, 7, {2, 5, 9}}}, 8),
+      // one-layer stages and replicated neighbours, non-contiguous ids
+      Partition({{0, 0, {11}}, {1, 1, {1, 7}}, {2, 5, {4}}, {6, 7, {0, 9}}},
+                8),
+      Partition({{0, 3, {2, 6, 10}}, {4, 4, {8}}, {5, 7, {3, 5}}}, 8),
+      // unreplicated, so no sync term and the boundaries set the period
+      Partition({{0, 1, {5}}, {2, 2, {10}}, {3, 5, {1}}, {6, 7, {8}}}, 8),
+  };
+  for (const comm::SyncScheme scheme :
+       {comm::SyncScheme::kRing, comm::SyncScheme::kParameterServer}) {
+    env.sync_scheme = scheme;
+    for (const Partition& p : shapes) {
+      const MoveScorer scorer(model, p, env, 8);
+      EXPECT_EQ(scorer.current_batch_time(),
+                analytic_batch_time(model, p, env, 8));
+      for (const Move& move : two_worker_moves(p)) {
+        const Partition moved = apply_move(p, move);
+        EXPECT_EQ(scorer.batch_time(move),
+                  analytic_batch_time(model, moved, env, 8))
+            << p.to_string() << " -> " << moved.to_string();
+        EXPECT_EQ(scorer.throughput(move),
+                  analytic_throughput(model, moved, env, 8));
+      }
+    }
+  }
+}
+
+TEST(Descend, MatchesTheCopyingDescent) {
+  // The descent the re-planner and plan_refined used to inline: every
+  // round re-costs every materialised candidate.
+  const auto copying = [](const models::ModelSpec& model, Partition p,
+                          const EnvironmentView& env, std::size_t batch,
+                          int rounds) {
+    Seconds best = analytic_batch_time(model, p, env, batch);
+    for (int round = 0; round < rounds; ++round) {
+      bool improved = false;
+      for (const auto& c : fixtures::reference_two_worker_candidates(p)) {
+        const Seconds t = analytic_batch_time(model, c, env, batch);
+        if (t < best * 0.999) {
+          best = t;
+          p = c;
+          improved = true;
+        }
+      }
+      if (!improved) break;
+    }
+    return std::pair{p, best};
+  };
+  Rng rng(90210);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto layers = static_cast<std::size_t>(rng.uniform_int(2, 24));
+    const auto ids = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const Partition start(random_stages(rng, layers, ids), layers);
+    EnvironmentView env = uniform_env(2 * ids, 1e9, 1e10);
+    for (std::size_t w = 0; w < 2 * ids; ++w) {
+      env.worker_speed[w] = rng.uniform(2e8, 4e9);
+      env.worker_bandwidth[w] = rng.uniform(1e8, 1e10);
+    }
+    const auto model = tiny_model(layers);
+    for (const int rounds : {0, 1, 3, 50}) {
+      const auto [want, want_time] = copying(model, start, env, 8, rounds);
+      const Descent got = descend(model, start, env, 8, rounds);
+      EXPECT_EQ(got.partition, want) << start.to_string();
+      EXPECT_EQ(got.batch_time, want_time) << start.to_string();
     }
   }
 }

@@ -33,6 +33,7 @@
 #include "partition/rebalance.hpp"
 #include "pipeline/executor.hpp"
 #include "sim/cluster.hpp"
+#include "partition_fixtures.hpp"
 
 namespace autopipe {
 namespace {
@@ -429,6 +430,72 @@ TEST_P(RandomModelPlanner, PlanSatisfiesPartitionInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLayerGraphs, RandomModelPlanner,
                          ::testing::Range(0, 200));
+
+// ---------------------------------------------------------------------------
+// MoveScorer: pricing a move by edit equals re-costing the moved partition
+// ---------------------------------------------------------------------------
+
+class MoveScorerRandom
+    : public ::testing::TestWithParam<std::tuple<int, comm::SyncScheme>> {};
+
+TEST_P(MoveScorerRandom, EqualsAnalyticBatchTimeBitForBit) {
+  const auto [seed, scheme] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 17);
+  bool replicated = false, one_layer = false, single_stage = false,
+       sparse_ids = false;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto model = random_layer_model(rng);
+    const std::size_t layers = model.num_layers();
+    const auto ids = static_cast<std::size_t>(rng.uniform_int(1, 10));
+    const partition::Partition p(
+        partition::fixtures::random_stages(rng, layers, ids), layers);
+    // Heterogeneous per-worker speed and bandwidth over the whole id
+    // range the partition draws from.
+    partition::EnvironmentView env;
+    env.sync_scheme = scheme;
+    env.per_layer_overhead = rng.uniform(0.0, 1e-4);
+    env.comm_efficiency = rng.uniform(0.5, 1.0);
+    for (std::size_t w = 0; w < 2 * ids; ++w) {
+      env.worker_speed.push_back(tflops(rng.uniform(0.5, 10.0)));
+      env.worker_bandwidth.push_back(gbps(rng.uniform(1.0, 100.0)));
+    }
+    const std::size_t batch = model.default_batch_size();
+
+    const partition::MoveScorer scorer(model, p, env, batch);
+    ASSERT_EQ(scorer.current_batch_time(),
+              partition::analytic_batch_time(model, p, env, batch));
+    for (const partition::Move& move : partition::two_worker_moves(p)) {
+      const partition::Partition moved = partition::apply_move(p, move);
+      ASSERT_EQ(scorer.batch_time(move),
+                partition::analytic_batch_time(model, moved, env, batch))
+          << p.to_string() << " -> " << moved.to_string();
+    }
+
+    single_stage |= p.num_stages() == 1;
+    sim::WorkerId top = 0;
+    for (const auto& stage : p.stages()) {
+      replicated |= stage.replication() > 1;
+      one_layer |= stage.num_layers() == 1;
+      for (sim::WorkerId w : stage.workers) top = std::max(top, w);
+    }
+    sparse_ids |= top + 1 > p.num_workers();
+  }
+  // The sweep must have reached every shape the scorer special-cases.
+  EXPECT_TRUE(replicated);
+  EXPECT_TRUE(one_layer);
+  EXPECT_TRUE(single_stage);
+  EXPECT_TRUE(sparse_ids);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomPartitions, MoveScorerRandom,
+    ::testing::Combine(::testing::Range(0, 10),
+                       ::testing::Values(comm::SyncScheme::kRing,
+                                         comm::SyncScheme::kParameterServer)),
+    [](const ::testing::TestParamInfo<MoveScorerRandom::ParamType>& info) {
+      return std::string(comm::to_string(std::get<1>(info.param))) + "_" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // PipeDream DP: the O(L^2 N) solve against the O(L^2 N^2) loop it replaced
