@@ -5,43 +5,34 @@
 // churn) while staying close to the best fixed threshold without tuning.
 #include <iostream>
 
-#include "autopipe/training.hpp"
 #include "bench_common.hpp"
+#include "scenario/training.hpp"
 
 using namespace autopipe;
 
 namespace {
 
 double run_policy(core::ControllerConfig::ArbiterMode mode,
-                  rl::DqnAgent* agent, std::uint64_t scenario_seed) {
-  const auto model = models::vgg16();
+                  rl::DqnAgent* agent, const std::string& label) {
   bench::Testbed t = bench::make_testbed(25);
-  const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
-                                          comm::SyncScheme::kRing);
-  pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
-  core::ControllerConfig cc;
-  cc.arbiter_mode = mode;
-  cc.use_meta_network = false;
-  cc.decision_interval = 3;
-  core::AutoPipeController controller(*t.cluster, executor, cc, nullptr,
-                                      agent);
-  controller.attach();
+  scenario::Job job;
+  job.model = models::vgg16();
+  job.controller = scenario::default_controller();
+  job.controller->arbiter_mode = mode;
+  job.controller->decision_interval = 3;
+  job.agent = agent;
+  job.iterations = 100;
+  job.warmup = 20;
 
   // Regime changes that persist (the case re-configuration exists for),
   // with one short-lived dip that a good arbiter should ride out.
-  (void)scenario_seed;
   sim::ResourceTrace trace;
   trace.at_iteration(12, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
   for (sim::WorkerId w : {0u, 1u, 2u, 3u})
     trace.at_iteration(40, sim::ResourceTrace::add_gpu_job(w));
   trace.at_iteration(64, sim::ResourceTrace::set_all_nic_bandwidth(gbps(8)));
   trace.at_iteration(70, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, *t.cluster);
-    controller.on_iteration(iters);
-  });
-  return executor.run(100, 20).throughput;
+  return bench::run_job(t, std::move(job), &trace, label).throughput;
 }
 
 }  // namespace
@@ -54,7 +45,6 @@ int main(int argc, char** argv) {
   rl::DqnConfig dc;
   dc.state_dim = encoder.arbiter_dim();
   rl::DqnAgent agent(dc, 77);
-  core::ScenarioConfig scenario;
   const auto training =
       core::train_arbiter_offline(agent, models::resnet50(), 24, 30, 99);
   agent.begin_online_adaptation();
@@ -63,23 +53,23 @@ int main(int argc, char** argv) {
   table.add_row({"never switch (static)",
                  TextTable::num(run_policy(
                      core::ControllerConfig::ArbiterMode::kNeverSwitch,
-                     nullptr, 5), 1)});
+                     nullptr, "never"), 1)});
   table.add_row({"always switch",
                  TextTable::num(run_policy(
                      core::ControllerConfig::ArbiterMode::kAlwaysSwitch,
-                     nullptr, 5), 1)});
+                     nullptr, "always"), 1)});
   table.add_row({"threshold (5% gain)",
                  TextTable::num(run_policy(
                      core::ControllerConfig::ArbiterMode::kThreshold,
-                     nullptr, 5), 1)});
+                     nullptr, "threshold"), 1)});
   table.add_row({"RL (offline-trained)",
                  TextTable::num(run_policy(
-                     core::ControllerConfig::ArbiterMode::kRl, &agent, 5),
+                     core::ControllerConfig::ArbiterMode::kRl, &agent, "rl"),
                  1)});
   table.print(std::cout,
               "Ablation — switch arbiter under persistent regime changes "
               "(VGG16, 25 Gbps)");
   std::cout << "\n(offline training: " << training.episodes << " episodes, "
             << training.total_switches << " exploratory switches)\n";
-  return 0;
+  return bench::exit_status();
 }

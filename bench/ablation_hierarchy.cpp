@@ -56,5 +56,5 @@ int main(int argc, char** argv) {
                "the one-shot plan cannot react — another fluctuation-class\n"
                "AutoPipe's profiling sees (observed bandwidth reflects the "
                "uplink share).\n";
-  return 0;
+  return bench::exit_status();
 }

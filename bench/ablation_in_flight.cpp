@@ -26,11 +26,15 @@ int main(int argc, char** argv) {
       const auto in_flight = static_cast<std::size_t>(
           static_cast<int>(now) + delta);
       bench::Testbed t = bench::make_testbed(25);
-      pipeline::ExecutorConfig config;
-      config.in_flight = in_flight;
-      pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                          config);
-      const auto report = executor.run(120, 40);
+      scenario::Job job;
+      job.model = model;
+      job.partition = plan.partition;
+      job.executor.in_flight = in_flight;
+      job.iterations = 120;
+      job.warmup = 40;
+      const auto& report = bench::run_job(
+          t, std::move(job), nullptr,
+          model.name() + "_inflight" + std::to_string(in_flight));
       Bytes peak = 0.0;
       for (sim::WorkerId w : plan.partition.all_workers()) {
         peak = std::max(peak, pipeline::worker_memory_footprint(
@@ -53,5 +57,5 @@ int main(int argc, char** argv) {
   std::cout << "Observation 3 quantified: throughput saturates at or just "
                "above the derived NOW; every\nextra in-flight batch costs a "
                "full weight-stash copy plus activation memory.\n";
-  return 0;
+  return bench::exit_status();
 }

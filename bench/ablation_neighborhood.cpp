@@ -3,7 +3,10 @@
 // to a cheap two-worker migration (gradual convergence to the optimum); the
 // full re-plan may jump straight to the best shape but forces a much larger
 // migration. We compare end throughput, switches and migrated state.
+#include <functional>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "autopipe/switch_cost.hpp"
 #include "bench_common.hpp"
@@ -18,78 +21,84 @@ struct Outcome {
   double migrated_mb = 0.0;
 };
 
-/// Neighbourhood mode: the regular controller (threshold arbiter).
-Outcome run_neighborhood() {
-  const auto model = models::vgg16();
+/// Runs vgg16 on a 25 Gbps testbed for 50 iterations (20 warmup) from
+/// PipeDream's plan, with every NIC dropping to 10 Gbps at iteration 10.
+/// `observe` runs after the controller's round (if any) at every iteration
+/// and returns the bytes the run migrated since its last call; `label`
+/// names the run's artifacts.
+Outcome run_arm(std::optional<core::ControllerConfig> controller,
+                const std::function<double(bench::Testbed&, std::size_t)>&
+                    observe,
+                const std::string& label) {
   bench::Testbed t = bench::make_testbed(25);
-  const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
-                                          comm::SyncScheme::kRing);
-  pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
-  core::ControllerConfig cc;
-  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-  cc.use_meta_network = false;
-  cc.decision_interval = 3;
-  cc.replan_on_change = false;  // pure two-worker moves in this arm
-  core::AutoPipeController controller(*t.cluster, executor, cc, nullptr,
-                                      nullptr);
-  controller.attach();
-
+  scenario::Job job;
+  job.model = models::vgg16();
+  job.controller = std::move(controller);
+  job.iterations = 50;
+  job.warmup = 20;
   sim::ResourceTrace trace;
   trace.at_iteration(10, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
+
   double migrated = 0.0;
-  partition::Partition previous = plan.partition;
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, *t.cluster);
-    controller.on_iteration(iters);
-    if (!(executor.current_partition() == previous)) {
-      partition::EnvironmentView env = partition::EnvironmentView::from_cluster(
-          *t.cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-      migrated += core::analytic_switch_cost(model, previous,
-                                             executor.current_partition(),
-                                             env, 0.1, 10, millis(2))
-                      .migration_bytes;
-      previous = executor.current_partition();
-    }
-  });
-  const auto report = executor.run(50, 20);
-  return Outcome{report.throughput, executor.switches_performed(),
+  t.world->set_iteration_observer(
+      [&](std::size_t iters) { migrated += observe(t, iters); });
+  const auto& report = bench::run_job(t, std::move(job), &trace, label);
+  return Outcome{report.throughput, t.world->executor().switches_performed(),
                  migrated / 1e6};
+}
+
+/// Weight bytes a switch from `from` to `to` moves on the testbed as it is.
+double migration_bytes(const bench::Testbed& t,
+                       const partition::Partition& from,
+                       const partition::Partition& to) {
+  const partition::EnvironmentView env =
+      partition::EnvironmentView::from_cluster(
+          *t.cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
+  return core::analytic_switch_cost(t.world->executor().model(), from, to,
+                                    env, 0.1, 10, millis(2))
+      .migration_bytes;
+}
+
+/// Neighbourhood mode: the regular controller (threshold arbiter) with
+/// pure two-worker moves, tallying each switch it lands.
+Outcome run_neighborhood() {
+  core::ControllerConfig cc = scenario::default_controller();
+  cc.decision_interval = 3;
+  cc.replan_on_change = false;  // pure two-worker moves in this arm
+  std::optional<partition::Partition> previous;
+  return run_arm(
+      cc,
+      [&previous](bench::Testbed& t, std::size_t) {
+        const partition::Partition& current =
+            t.world->executor().current_partition();
+        if (!previous) previous = t.world->plan()->partition;
+        if (current == *previous) return 0.0;
+        const double bytes = migration_bytes(t, *previous, current);
+        previous = current;
+        return bytes;
+      },
+      "neighborhood");
 }
 
 /// Full-replan mode: on the resource change, adopt the freshly-solved DP
 /// plan wholesale (one big switch).
 Outcome run_full_replan() {
-  const auto model = models::vgg16();
-  bench::Testbed t = bench::make_testbed(25);
-  const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
-                                          comm::SyncScheme::kRing);
-  pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
-  sim::ResourceTrace trace;
-  trace.at_iteration(10, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
-  double migrated = 0.0;
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, *t.cluster);
-    if (iters == 12 && !executor.switch_in_progress()) {
-      const auto replan = bench::plan_current(t, model,
-                                              comm::pytorch_profile(),
-                                              comm::SyncScheme::kRing);
-      partition::EnvironmentView env = partition::EnvironmentView::from_cluster(
-          *t.cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-      migrated += core::analytic_switch_cost(model,
-                                             executor.current_partition(),
-                                             replan.partition, env, 0.1, 10,
-                                             millis(2))
-                      .migration_bytes;
-      executor.request_switch(
-          replan.partition,
-          pipeline::PipelineExecutor::SwitchMode::kFineGrained);
-    }
-  });
-  const auto report = executor.run(50, 20);
-  return Outcome{report.throughput, executor.switches_performed(),
-                 migrated / 1e6};
+  return run_arm(
+      std::nullopt,
+      [](bench::Testbed& t, std::size_t iters) {
+        pipeline::PipelineExecutor& executor = t.world->executor();
+        if (iters != 12 || executor.switch_in_progress()) return 0.0;
+        const auto replan = bench::plan_current(
+            t, models::vgg16(), comm::pytorch_profile(),
+            comm::SyncScheme::kRing);
+        const double bytes = migration_bytes(t, executor.current_partition(),
+                                             replan.partition);
+        executor.request_switch(
+            replan.partition,
+            pipeline::PipelineExecutor::SwitchMode::kFineGrained);
+        return bytes;
+      },
+      "full_replan");
 }
 
 }  // namespace
@@ -114,5 +123,5 @@ int main(int argc, char** argv) {
                "state but lands on the globally better shape. AutoPipe's "
                "deployed controller therefore\ncombines both: re-plan on "
                "detected changes, neighbourhood fine-tuning in between.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -5,9 +5,9 @@
 #include <chrono>
 #include <iostream>
 
-#include "autopipe/training.hpp"
 #include "bench_common.hpp"
 #include "partition/analytic_eval.hpp"
+#include "scenario/training.hpp"
 
 using namespace autopipe;
 
@@ -105,5 +105,5 @@ int main(int argc, char** argv) {
                "ceiling the meta-network approaches with data. On a\nreal "
                "testbed no such oracle exists, which is why the paper "
                "learns the predictor.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -15,30 +15,21 @@ struct Outcome {
   double stall = 0.0;
 };
 
-Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode) {
-  const auto model = models::vgg16();
+Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode,
+                 const std::string& label) {
   bench::Testbed t = bench::make_testbed(25);
-  const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
-                                          comm::SyncScheme::kRing);
-  pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
-  core::ControllerConfig cc;
-  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-  cc.use_meta_network = false;
-  cc.decision_interval = 3;
-  cc.switch_mode = mode;
-  core::AutoPipeController controller(*t.cluster, executor, cc, nullptr,
-                                      nullptr);
-  controller.attach();
+  scenario::Job job;
+  job.model = models::vgg16();
+  job.controller = scenario::default_controller();
+  job.controller->decision_interval = 3;
+  job.controller->switch_mode = mode;
+  job.iterations = 50;
+  job.warmup = 8;
 
   sim::ResourceTrace trace;
   trace.at_iteration(10, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
   trace.at_iteration(30, sim::ResourceTrace::set_all_nic_bandwidth(gbps(40)));
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, *t.cluster);
-    controller.on_iteration(iters);
-  });
-  const auto report = executor.run(50, 8);
+  const auto& report = bench::run_job(t, std::move(job), &trace, label);
   return Outcome{report.throughput, report.switch_stall};
 }
 
@@ -46,10 +37,10 @@ Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode) {
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  const Outcome fine =
-      run_with(pipeline::PipelineExecutor::SwitchMode::kFineGrained);
-  const Outcome stop =
-      run_with(pipeline::PipelineExecutor::SwitchMode::kStopTheWorld);
+  const Outcome fine = run_with(
+      pipeline::PipelineExecutor::SwitchMode::kFineGrained, "fine_grained");
+  const Outcome stop = run_with(
+      pipeline::PipelineExecutor::SwitchMode::kStopTheWorld, "stop_the_world");
 
   TextTable table({"switching", "throughput (img/s)",
                    "injection stall (s)"});
@@ -64,5 +55,5 @@ int main(int argc, char** argv) {
             << TextTable::num(bench::speedup_pct(fine.throughput,
                                                  stop.throughput), 1)
             << "% higher throughput here.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -186,43 +186,13 @@ partition::PlanResult plan_refined(const Testbed& testbed,
   return plan;
 }
 
-RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
-                       const partition::Partition& partition,
-                       const RunOptions& options) {
-  scenario::Job job;
-  job.model = model;
-  job.partition = partition;
-  job.executor.framework = options.framework;
-  job.executor.sync_scheme = options.scheme;
-  job.executor.mode = options.mode;
-  job.executor.micro_batches = options.micro_batches;
-  if (options.autopipe) {
-    core::ControllerConfig cc = scenario::default_controller();
-    cc.decision_interval = options.decision_interval;
-    // Predicted gains below this floor are not worth a migration; measured
-    // validation reverts mispredicted switches.
-    cc.candidate_gain_floor = 0.02;
-    cc.replan_on_change = true;
-    // Figure runs are fault-free, so the stall watchdog has nothing to
-    // catch; leaving it off keeps watchdog ticks out of their event stream.
-    cc.enable_watchdog = false;
-    job.controller = cc;
-  }
-  job.iterations = options.iterations;
-  job.warmup = options.warmup;
-
-  scenario::World& world = *testbed.world;
-  world.launch(std::move(job));
-  world.set_resource_trace(options.trace);
-  world.run();
-  const pipeline::ExecutionReport& report = world.report();
+void write_run_outputs(const scenario::World& world,
+                       const std::string& label) {
   const sim::Simulator& simulator = world.simulator();
-
-  // Figures run many scenarios on separate testbeds; a labelled run gets
-  // its own fig.<scenario>.* files, an unlabelled one keeps the legacy
-  // overwrite-last-wins behaviour on the given path.
-  const auto path = [&options](const std::string& base) {
-    return base.empty() ? base : scenario_path(base, options.scenario);
+  // Benches run many scenarios on separate worlds; a labelled run gets its
+  // own <base>.<label>.* files, an unlabelled one overwrites the given path.
+  const auto path = [&label](const std::string& base) {
+    return base.empty() ? base : scenario_path(base, label);
   };
   scenario::OutputPaths paths;
   paths.trace = path(g_trace_path);
@@ -259,13 +229,53 @@ RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
     std::cout << "timeseries: " << simulator.timeseries().size()
               << " samples -> " << paths.timeseries << "\n";
   }
+}
 
+const pipeline::ExecutionReport& run_job(Testbed& testbed, scenario::Job job,
+                                         const sim::ResourceTrace* trace,
+                                         const std::string& label) {
+  scenario::World& world = *testbed.world;
+  world.launch(std::move(job));
+  world.set_resource_trace(trace);
+  world.run();
+  write_run_outputs(world, label);
+  return world.report();
+}
+
+RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
+                       const partition::Partition& partition,
+                       const RunOptions& options) {
+  scenario::Job job;
+  job.model = model;
+  job.partition = partition;
+  job.executor.framework = options.framework;
+  job.executor.sync_scheme = options.scheme;
+  job.executor.mode = options.mode;
+  job.executor.micro_batches = options.micro_batches;
+  if (options.autopipe) {
+    core::ControllerConfig cc = scenario::default_controller();
+    cc.decision_interval = options.decision_interval;
+    // Predicted gains below this floor are not worth a migration; measured
+    // validation reverts mispredicted switches.
+    cc.candidate_gain_floor = 0.02;
+    cc.replan_on_change = true;
+    // Figure runs are fault-free, so the stall watchdog has nothing to
+    // catch; leaving it off keeps watchdog ticks out of their event stream.
+    cc.enable_watchdog = false;
+    job.controller = cc;
+  }
+  job.iterations = options.iterations;
+  job.warmup = options.warmup;
+
+  const pipeline::ExecutionReport& report =
+      run_job(testbed, std::move(job), options.trace, options.scenario);
+  const pipeline::PipelineExecutor& executor = testbed.world->executor();
   RunResult result;
   result.throughput = report.throughput;
   result.per_iteration = report.iteration_throughput;
   result.end_times = report.iteration_end_times;
-  result.batch = world.executor().batch_size();
-  result.switches = world.executor().switches_performed();
+  result.batch = executor.batch_size();
+  result.switches = executor.switches_performed();
   result.utilization = report.worker_utilization;
   return result;
 }

@@ -28,7 +28,8 @@ namespace autopipe::bench {
 inline const std::vector<double> kBandwidthGridGbps = {10, 25, 40, 100};
 
 /// One self-contained simulated testbed instance: a scenario world whose
-/// job run_pipeline launches. `simulator` and `cluster` point into it.
+/// job run_pipeline (or the bench itself) launches. `simulator` and
+/// `cluster` point into it.
 struct Testbed {
   std::unique_ptr<scenario::World> world;
   sim::Simulator* simulator = nullptr;
@@ -66,13 +67,13 @@ const std::string& metrics_path();
 
 /// The `--ledger` path captured by parse_common_flags; empty when unset.
 /// When set, every AutoPipe-controlled run records its decision ledger and
-/// run_pipeline writes it next to the trace (scenario-spliced the same way;
-/// analyze with `autopipe_trace decisions` / `calibration`).
+/// write_run_outputs writes it next to the trace (scenario-spliced the same
+/// way; analyze with `autopipe_trace decisions` / `calibration`).
 const std::string& ledger_path();
 
 /// The `--timeseries=PATH[:INTERVAL]` path captured by parse_common_flags;
 /// empty when unset. When set, every run samples its metrics registry at
-/// the interval (default 1 sim-second) and run_pipeline writes the
+/// the interval (default 1 sim-second) and write_run_outputs writes the
 /// autopipe-ts-v1 series scenario-spliced like the trace (analyze with
 /// `autopipe_trace timeseries`; see docs/TELEMETRY.md).
 const std::string& timeseries_path();
@@ -152,6 +153,19 @@ struct RunResult {
   /// simulated time (robust to completion bursts).
   double window_mean(std::size_t lo, std::size_t hi) const;
 };
+
+/// Write the recorders of a finished World run to the files the common
+/// flags name, each spliced with `label` through scenario_path (an empty
+/// label writes the flag paths as given), and report them on stdout. Every
+/// World-built bench run calls this once after World::run().
+void write_run_outputs(const scenario::World& world, const std::string& label);
+
+/// The one bench run path: launch `job` on the testbed's world with `trace`
+/// (may be null) applied at the iterations it names, run it, and write its
+/// outputs under `label`. Returns the run's report.
+const pipeline::ExecutionReport& run_job(Testbed& testbed, scenario::Job job,
+                                         const sim::ResourceTrace* trace,
+                                         const std::string& label);
 
 /// Execute `partition` on the testbed under the options.
 RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,

@@ -66,5 +66,5 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper's shape: AutoPipe leads throughout, and gains grow "
                "with more contending jobs;\ncompute contention hurts training "
                "speed more than bandwidth loss.\n";
-  return 0;
+  return bench::exit_status();
 }

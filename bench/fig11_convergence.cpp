@@ -150,5 +150,5 @@ int main(int argc, char** argv) {
   std::cout << "Paper's shape: AutoPipe converges fastest (1.53x/3.13x/1.95x "
                "vs PipeDream/BSP/TAP on\nResNet50); AutoPipe, PipeDream and "
                "BSP reach the same accuracy; TAP plateaus lower.\n";
-  return 0;
+  return bench::exit_status();
 }

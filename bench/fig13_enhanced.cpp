@@ -63,5 +63,5 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper's shape: every AutoPipe-enhanced variant outperforms "
                "its vanilla counterpart\n(5-15% range in the paper's "
                "figure).\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -36,14 +36,19 @@ void fill_table(double bandwidth_gbps, const std::string& title) {
                    "steady img/s", "utilization"});
   for (std::size_t in_flight : {4u, 5u, 6u}) {
     bench::Testbed testbed = bench::make_testbed(bandwidth_gbps);
-    pipeline::ExecutorConfig config;
-    config.framework.per_layer_overhead = 0.0;
-    config.framework.comm_efficiency = 1.0;
-    config.framework.compute_efficiency = 1.0;
-    config.in_flight = in_flight;
-    pipeline::PipelineExecutor executor(*testbed.cluster, model, partition,
-                                        config);
-    const auto report = executor.run(40, 20);
+    scenario::Job job;
+    job.model = model;
+    job.partition = partition;
+    job.executor.framework.per_layer_overhead = 0.0;
+    job.executor.framework.comm_efficiency = 1.0;
+    job.executor.framework.compute_efficiency = 1.0;
+    job.executor.in_flight = in_flight;
+    job.iterations = 40;
+    job.warmup = 20;
+    const auto& report = bench::run_job(
+        testbed, std::move(job), nullptr,
+        std::to_string(static_cast<int>(bandwidth_gbps)) + "gbps_inflight" +
+            std::to_string(in_flight));
     const double startup = report.iteration_end_times.empty()
                                ? 0.0
                                : report.iteration_end_times.front();
@@ -77,5 +82,5 @@ int main(int argc, char** argv) {
          "uniform layers and\nFP = BP/2. With real transfer times the steady "
          "period stretches beyond the compute\nbottleneck and utilization "
          "drops — extra in-flight batches recover only part of it.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -80,5 +80,5 @@ int main(int argc, char** argv) {
                "gap to optimal grows with\nnetwork speed (39% at 10 Gbps -> "
                "45% at 100 Gbps in the paper) because computation\nis a "
                "larger share of the iteration on fast networks.\n";
-  return 0;
+  return bench::exit_status();
 }

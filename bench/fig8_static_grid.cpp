@@ -106,5 +106,5 @@ int main(int argc, char** argv) {
                "in the paper);\nPS cells show larger AutoPipe gains than Ring "
                "(PipeDream's planner assumes Ring);\nResNet50 gains most "
                "(more layers -> finer re-partitioning).\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -71,8 +71,9 @@ int main(int argc, char** argv) {
     std::cerr << "\n" << failures << "/" << seeds << " seeds diverged";
     if (!artifacts.empty()) std::cerr << "; artifacts in " << artifacts;
     std::cerr << "\n";
+    bench::exit_status();
     return 1;
   }
   std::cout << "\nall " << seeds << " seeds replay byte-identically\n";
-  return 0;
+  return bench::exit_status();
 }

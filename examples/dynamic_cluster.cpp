@@ -7,14 +7,11 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "autopipe/controller.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "models/zoo.hpp"
-#include "partition/pipedream_planner.hpp"
-#include "pipeline/executor.hpp"
+#include "scenario/world.hpp"
 #include "sim/background.hpp"
-#include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
 using namespace autopipe;
@@ -25,51 +22,41 @@ int main(int argc, char** argv) {
 
   // A 25 Gbps testbed with stochastic background churn on top of two
   // scripted events.
-  sim::Simulator simulator;
-  sim::ClusterConfig cluster_config;
-  cluster_config.nic_bandwidth = gbps(25);
-  sim::Cluster cluster(simulator, cluster_config);
+  scenario::Spec spec;
+  spec.cluster.nic_bandwidth = gbps(25);
+  spec.job.model = models::resnet50();
+  spec.job.controller = scenario::default_controller();
+  spec.job.iterations = 90;
+  spec.job.warmup = 10;
+  scenario::World world(std::move(spec));
 
   sim::BackgroundWorkloadConfig churn;
   churn.gpu_job_rate = 0.01;
   churn.net_job_rate = 0.01;
   churn.horizon = 120.0;
   sim::BackgroundWorkload background(churn, Rng(seed));
-  background.install(simulator, cluster);
+  background.install(world.simulator(), world.cluster());
   std::cout << "background churn: " << background.gpu_jobs()
             << " GPU jobs, " << background.net_jobs() << " network jobs\n";
 
-  const models::ModelSpec model = models::resnet50();
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-  partition::PipeDreamPlanner planner(model, env, model.default_batch_size());
-  const auto plan = planner.plan(cluster.num_workers());
-  std::cout << "initial plan: " << plan.partition.to_string() << "\n\n";
-
-  pipeline::PipelineExecutor executor(cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
-  core::ControllerConfig controller_config;
-  controller_config.arbiter_mode =
-      core::ControllerConfig::ArbiterMode::kThreshold;
-  controller_config.use_meta_network = false;
-  core::AutoPipeController controller(cluster, executor, controller_config,
-                                      nullptr, nullptr);
-  controller.attach();
+  world.launch();
+  std::cout << "initial plan: " << world.plan()->partition.to_string()
+            << "\n\n";
+  pipeline::PipelineExecutor& executor = world.executor();
 
   // Two scripted events on top of the stochastic churn.
   sim::ResourceTrace trace;
   trace.at_iteration(30, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
   for (sim::WorkerId w : {0u, 1u, 2u, 3u})
     trace.at_iteration(60, sim::ResourceTrace::add_gpu_job(w));
+  world.set_resource_trace(&trace);
 
   std::size_t last_switches = 0;
   TextTable timeline({"iteration", "img/s (5-iter window)", "partition",
                       "event"});
   std::vector<Seconds> end_times;
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, cluster);
-    controller.on_iteration(iters);
-    end_times.push_back(simulator.now());
+  world.set_iteration_observer([&](std::size_t iters) {
+    end_times.push_back(world.simulator().now());
     if (iters % 10 == 0 && end_times.size() >= 6) {
       const double window =
           5.0 * executor.batch_size() /
@@ -87,11 +74,11 @@ int main(int argc, char** argv) {
     }
   });
 
-  const auto report = executor.run(90, 10);
+  const scenario::Summary summary = world.run();
+  const core::AutoPipeController& controller = *world.controller();
   timeline.print(std::cout, "training timeline");
-  std::cout << "\noverall: " << TextTable::num(report.throughput, 1)
-            << " img/s, " << executor.switches_performed()
-            << " partition switches, "
+  std::cout << "\noverall: " << TextTable::num(summary.throughput, 1)
+            << " img/s, " << summary.switches << " partition switches, "
             << controller.stats().changes_detected
             << " resource changes detected, decision loop cost "
             << TextTable::num(

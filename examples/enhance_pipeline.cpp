@@ -5,15 +5,12 @@
 //
 //   ./examples/enhance_pipeline
 #include <iostream>
-#include <memory>
 
-#include "autopipe/controller.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "models/zoo.hpp"
 #include "partition/partition.hpp"
-#include "pipeline/executor.hpp"
-#include "sim/cluster.hpp"
+#include "scenario/world.hpp"
 #include "sim/trace.hpp"
 
 using namespace autopipe;
@@ -21,41 +18,26 @@ using namespace autopipe;
 namespace {
 
 double run(pipeline::ScheduleMode mode, bool enhanced) {
-  sim::Simulator simulator;
-  sim::ClusterConfig cluster_config;
-  cluster_config.nic_bandwidth = gbps(100);
-  sim::Cluster cluster(simulator, cluster_config);
-
-  const models::ModelSpec model = models::bert48();
+  scenario::Spec spec;
+  spec.cluster.nic_bandwidth = gbps(100);
+  spec.job.model = models::bert48();
   // These systems target structurally uniform models and split evenly.
-  const auto partition = partition::Partition::even_split(
-      model.num_layers(), {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-
-  pipeline::ExecutorConfig config;
-  config.mode = mode;
-  config.micro_batches = 8;
-  pipeline::PipelineExecutor executor(cluster, model, partition, config);
-
-  std::unique_ptr<core::AutoPipeController> controller;
-  if (enhanced) {
-    core::ControllerConfig cc;
-    cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-    cc.use_meta_network = false;
-    controller = std::make_unique<core::AutoPipeController>(
-        cluster, executor, cc, nullptr, nullptr);
-    controller->attach();
-  }
+  spec.job.partition = partition::Partition::even_split(
+      spec.job.model.num_layers(), {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  spec.job.executor.mode = mode;
+  spec.job.executor.micro_batches = 8;
+  if (enhanced) spec.job.controller = scenario::default_controller();
+  spec.job.iterations = 80;
+  spec.job.warmup = 30;
+  scenario::World world(std::move(spec));
 
   sim::ResourceTrace trace;
   trace.at_iteration(12, sim::ResourceTrace::set_nic_bandwidth(0, gbps(25)));
   trace.at_iteration(12, sim::ResourceTrace::set_nic_bandwidth(1, gbps(25)));
   for (sim::WorkerId w : {4u, 5u, 6u, 7u})
     trace.at_iteration(24, sim::ResourceTrace::add_gpu_job(w));
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, cluster);
-    if (controller) controller->on_iteration(iters);
-  });
-  return executor.run(80, 30).throughput;
+  world.set_resource_trace(&trace);
+  return world.run().throughput;
 }
 
 }  // namespace

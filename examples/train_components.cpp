@@ -8,14 +8,11 @@
 #include <fstream>
 #include <iostream>
 
-#include "autopipe/controller.hpp"
-#include "autopipe/training.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "models/zoo.hpp"
-#include "partition/pipedream_planner.hpp"
-#include "pipeline/executor.hpp"
-#include "sim/cluster.hpp"
+#include "scenario/training.hpp"
+#include "scenario/world.hpp"
 #include "sim/trace.hpp"
 
 using namespace autopipe;
@@ -78,36 +75,28 @@ int main(int argc, char** argv) {
   std::cout << "saved + reloaded autopipe_meta.net / autopipe_arbiter.net\n";
 
   // 5) Deploy on a fresh dynamic scenario.
-  sim::Simulator simulator;
-  sim::ClusterConfig cluster_config;
-  cluster_config.nic_bandwidth = gbps(25);
-  sim::Cluster cluster(simulator, cluster_config);
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-  partition::PipeDreamPlanner planner(model, env, model.default_batch_size());
-  const auto plan = planner.plan(cluster.num_workers());
-
-  pipeline::PipelineExecutor executor(cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
+  scenario::Spec spec;
+  spec.cluster.nic_bandwidth = gbps(25);
+  spec.job.model = model;
   core::ControllerConfig controller_config;
   controller_config.arbiter_mode = core::ControllerConfig::ArbiterMode::kRl;
   controller_config.use_meta_network = true;
-  core::AutoPipeController controller(cluster, executor, controller_config,
-                                      &deployed_meta, &deployed_agent,
-                                      encoder);
-  controller.attach();
+  spec.job.controller = controller_config;
+  spec.job.meta = &deployed_meta;
+  spec.job.agent = &deployed_agent;
+  spec.job.encoder = encoder;
+  spec.job.iterations = 60;
+  spec.job.warmup = 10;
+  scenario::World world(std::move(spec));
 
   sim::ResourceTrace trace;
   trace.at_iteration(20, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
   for (sim::WorkerId w : {0u, 1u, 2u})
     trace.at_iteration(40, sim::ResourceTrace::add_gpu_job(w));
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, cluster);
-    controller.on_iteration(iters);
-  });
-  const auto report = executor.run(60, 10);
-  std::cout << "deployed run: " << TextTable::num(report.throughput, 1)
-            << " img/s, " << executor.switches_performed() << " switches, "
-            << controller.stats().decisions << " decisions\n";
+  world.set_resource_trace(&trace);
+  const scenario::Summary summary = world.run();
+  std::cout << "deployed run: " << TextTable::num(summary.throughput, 1)
+            << " img/s, " << summary.switches << " switches, "
+            << world.controller()->stats().decisions << " decisions\n";
   return 0;
 }

@@ -18,6 +18,56 @@ namespace autopipe::core {
 
 namespace {
 
+// Decision-loop policy constants. No caller varies them; they are named
+// here so each value carries its rationale.
+
+/// Gain threshold of ArbiterMode::kThreshold.
+constexpr double kThresholdGain = 0.05;
+/// The estimated switching cost must pay back within this many iterations
+/// of the predicted gain for the threshold arbiter to act.
+constexpr double kPaybackHorizonIterations = 25.0;
+/// Measured speeds feed back into the meta-network online, in batches of
+/// this many samples (§4.3 "online adapting").
+constexpr std::size_t kAdaptationBatch = 16;
+/// Measured-feedback validation window: completed iterations after a
+/// switch (or a ledger decision) over which the realized speed is measured.
+constexpr std::size_t kValidationWindow = 8;
+/// A switch survives validation only if the measured period improves by at
+/// least this fraction; otherwise it is reverted and blacklisted.
+constexpr double kRegressionTolerance = 0.005;
+/// A re-plan on a detected change is adopted when it predicts at least this
+/// relative gain.
+constexpr double kReplanGainThreshold = 0.10;
+
+// --- Fault-recovery watchdog (robustness layer) ---
+/// A simulator-scheduled tick declares the pipeline wedged when no
+/// iteration completes within kWatchdogFactor x the EMA iteration period
+/// and either a worker is unreachable or the stall outlasts
+/// kWatchdogFillGrace; the response is an emergency re-plan over the
+/// reachable workers only.
+constexpr double kWatchdogFactor = 4.0;
+/// Tick-interval floor; also the base unit of the recovery backoff.
+constexpr Seconds kWatchdogMinInterval = 0.25;
+/// Allowance for pipeline fill, long stop-the-world drains, and slow first
+/// iterations: with every worker reachable, a stall shorter than this is
+/// never treated as a fault.
+constexpr Seconds kWatchdogFillGrace = 10.0;
+/// Recovery attempts before the watchdog gives up and lets the executor's
+/// deadlock detection surface the failure.
+constexpr std::size_t kRecoveryMaxRetries = 6;
+/// Backoff multiplier between consecutive recovery attempts.
+constexpr double kRecoveryBackoffBase = 2.0;
+
+// --- Interruptible-switch retry policy ---
+/// A switch attempt aborted by a fault mid-protocol (the executor rolls the
+/// partial migration back) is retried after an exponential backoff of
+/// `switch_retry_base_interval * kSwitchRetryBackoff^(n-1)` simulated
+/// seconds. After kSwitchRetryMax total attempts the target is abandoned:
+/// its ledger record resolves to the aborted_<phase> outcome of the last
+/// attempt and the partition is blacklisted for the regime.
+constexpr std::size_t kSwitchRetryMax = 3;
+constexpr double kSwitchRetryBackoff = 2.0;
+
 /// Partition::to_string() with the spaces removed, so the string fits the
 /// ledger's space-separated key=value lines.
 std::string compact_partition(const partition::Partition& p) {
@@ -164,20 +214,20 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
   if (static_features_.empty())
     static_features_ = encoder_.static_features(snapshot);
   dynamic_history_.push_back(encoder_.dynamic_features(snapshot));
-  while (dynamic_history_.size() > config_.history_window)
+  while (dynamic_history_.size() > kHistoryWindow)
     dynamic_history_.pop_front();
 
   settle_pending_reward(snapshot);
 
   if (snapshot.iteration_time > 0.0) {
     recent_period_.push_back(snapshot.iteration_time);
-    while (recent_period_.size() > 2 * config_.validation_window)
+    while (recent_period_.size() > 2 * kValidationWindow)
       recent_period_.pop_front();
   }
 
   // Online adaptation: the measured speed of the *current* partition is a
   // free labelled sample for the meta-network.
-  if (meta_ && config_.online_adaptation && snapshot.iteration_time > 0.0) {
+  if (meta_ && snapshot.iteration_time > 0.0) {
     SpeedSample sample;
     sample.dynamic_seq.assign(dynamic_history_.begin(),
                               dynamic_history_.end());
@@ -188,7 +238,7 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
         static_cast<double>(executor_.batch_size()) /
         snapshot.iteration_time);
     adaptation_buffer_.push_back(std::move(sample));
-    if (adaptation_buffer_.size() >= config_.adaptation_batch) {
+    if (adaptation_buffer_.size() >= kAdaptationBatch) {
       meta_->train_batch(adaptation_buffer_);
       adaptation_buffer_.clear();
     }
@@ -279,13 +329,13 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
       }
     } else {
       ++validation_->samples;
-      if (validation_->samples >= config_.validation_window) {
+      if (validation_->samples >= kValidationWindow) {
         const double after_period =
             (cluster_.simulator().now() - validation_->window_start) /
             static_cast<double>(validation_->samples);
         const bool regressed =
             after_period > validation_->period_before *
-                               (1.0 - config_.regression_tolerance);
+                               (1.0 - kRegressionTolerance);
         if (cluster_.simulator().tracer().enabled()) {
           cluster_.simulator().tracer().instant(
               trace::Category::kControl, "validation_end",
@@ -357,16 +407,6 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
     }
   }
 
-  // An in-progress gradual migration takes priority over fresh decisions;
-  // intermediate steps are not individually validated (they may transit
-  // through worse configurations on the way to the target).
-  if (target_) {
-    resolve_validation_record(trace::OutcomeStatus::kSuperseded, -1.0, 0,
-                              "migration");
-    validation_.reset();
-    if (pursue_target()) return;
-  }
-
   if (completed_iterations < config_.min_history_iterations) return;
   if (!change.changed && completed_iterations < cooldown_until_) return;
   const bool periodic =
@@ -420,21 +460,6 @@ std::size_t AutoPipeController::revert_backoff_iterations(
   return config_.revert_cooldown << shift;
 }
 
-namespace {
-/// Layers whose hosting worker set differs between two partitions — the
-/// migration distance a switch sequence must close.
-std::size_t partition_distance(const partition::Partition& a,
-                               const partition::Partition& b) {
-  std::size_t d = 0;
-  for (std::size_t l = 0; l < a.num_layers(); ++l) {
-    if (a.stage(a.stage_of_layer(l)).workers !=
-        b.stage(b.stage_of_layer(l)).workers)
-      ++d;
-  }
-  return d;
-}
-}  // namespace
-
 std::pair<partition::Partition, double> AutoPipeController::replan(
     const ProfileSnapshot& snapshot, const partition::EnvironmentView& env) {
   PROF_SPAN("planner/replan");
@@ -480,45 +505,6 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
   }
   return {std::move(refined.partition),
           static_cast<double>(executor_.batch_size()) / refined.batch_time};
-}
-
-bool AutoPipeController::pursue_target() {
-  if (!target_) return false;
-  const partition::Partition& current = executor_.current_partition();
-  if (current == *target_ || target_steps_ > 4 * current.num_layers()) {
-    target_.reset();
-    return false;
-  }
-  // Step to the neighbour closest to the target.
-  const auto candidates = partition::two_worker_candidates(current);
-  const std::size_t current_distance = partition_distance(current, *target_);
-  const partition::Partition* best = nullptr;
-  std::size_t best_distance = current_distance;
-  for (const auto& candidate : candidates) {
-    const std::size_t d = partition_distance(candidate, *target_);
-    if (d < best_distance) {
-      best_distance = d;
-      best = &candidate;
-    }
-  }
-  if (best == nullptr) {
-    target_.reset();  // no move closes the gap: abandon the target
-    return false;
-  }
-  ++target_steps_;
-  // Intermediate migration steps are tracked (fault aborts retry them) but
-  // never validated: they may transit through worse configurations.
-  drop_tracked_switch("new_decision");
-  tracked_switch_ = TrackedSwitch(*best, current);
-  if (executor_.request_switch(*best, config_.switch_mode,
-                               target_round_)) {
-    ++stats_.switches_requested;
-    last_switch_iteration_ = executor_.completed_iterations();
-  } else if (tracked_switch_) {
-    tracked_switch_.reset();
-    ++retry_epoch_;
-  }
-  return true;
 }
 
 void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
@@ -581,26 +567,9 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   // local: consult the full re-plan first.
   if (after_change && config_.replan_on_change) {
     auto [plan, plan_speed] = replan(snapshot, env);
-    if (plan_speed > current_speed * (1.0 + config_.replan_gain_threshold) &&
+    if (plan_speed > current_speed * (1.0 + kReplanGainThreshold) &&
         !(plan == current) && !is_rejected(plan) &&
         partition_reachable(plan)) {
-      if (config_.gradual_migration) {
-        LOG_DEBUG("migration target " << plan.to_string());
-        if (ledger_on) {
-          fill_replan(plan, plan_speed);
-          supersede_probes("new_decision");
-          const std::uint64_t id = ledger().add(std::move(rec));
-          probes_.push_back(LedgerProbe{
-              id, true, executor_.completed_iterations(), -1.0, 0});
-          target_round_ = id;
-        } else {
-          target_round_ = 0;
-        }
-        target_ = std::move(plan);
-        target_steps_ = 0;
-        pursue_target();
-        return;
-      }
       LOG_DEBUG("re-plan adoption: " << plan.to_string() << " (predicted "
                                      << current_speed << " -> " << plan_speed
                                      << ")");
@@ -789,14 +758,14 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
       break;
     case ControllerConfig::ArbiterMode::kThreshold: {
       const bool gain_ok =
-          best_speed > current_speed * (1.0 + config_.threshold_gain);
+          best_speed > current_speed * (1.0 + kThresholdGain);
       // Cost-aware gate: the migration must pay back within the horizon.
       const double gain_per_iteration =
           (best_speed / std::max(current_speed, 1e-9) - 1.0) *
           std::max(snapshot.iteration_time, 1e-6);
       const bool payback_ok =
           cost_seconds <
-          gain_per_iteration * config_.payback_horizon_iterations;
+          gain_per_iteration * kPaybackHorizonIterations;
       action = (gain_ok && payback_ok) ? 1 : 0;
       break;
     }
@@ -914,7 +883,7 @@ void AutoPipeController::arm_watchdog() {
     return;
   watchdog_armed_ = true;
   const Seconds interval =
-      std::max(config_.watchdog_min_interval, ema_period_);
+      std::max(kWatchdogMinInterval, ema_period_);
   cluster_.simulator().after(
       interval, [this] { watchdog_tick(); }, "watchdog");
 }
@@ -943,11 +912,11 @@ void AutoPipeController::watchdog_tick() {
     // iteration periods, so in-progress switches get the fill grace.
     Seconds threshold =
         ema_period_ > 0.0
-            ? std::max(config_.watchdog_factor * ema_period_,
-                       config_.watchdog_min_interval)
-            : config_.watchdog_fill_grace;
+            ? std::max(kWatchdogFactor * ema_period_,
+                       kWatchdogMinInterval)
+            : kWatchdogFillGrace;
     if (executor_.switch_in_progress())
-      threshold = std::max(threshold, config_.watchdog_fill_grace);
+      threshold = std::max(threshold, kWatchdogFillGrace);
     const Seconds stall = now - last_progress_time_;
     if (stall > threshold) {
       bool worker_down = false;
@@ -959,7 +928,7 @@ void AutoPipeController::watchdog_tick() {
       const bool hard_stall = ema_period_ > 0.0 &&
                               !executor_.switch_in_progress() &&
                               stall > std::max(threshold,
-                                               config_.watchdog_fill_grace);
+                                               kWatchdogFillGrace);
       if (worker_down || hard_stall) {
         if (!wedged_) {
           wedged_ = true;
@@ -982,7 +951,7 @@ void AutoPipeController::watchdog_tick() {
 
 void AutoPipeController::attempt_recovery(Seconds now) {
   auto& sim = cluster_.simulator();
-  if (recovery_attempts_ >= config_.recovery_max_retries) {
+  if (recovery_attempts_ >= kRecoveryMaxRetries) {
     if (!recovery_given_up_) {
       recovery_given_up_ = true;
       ++stats_.recovery_giveups;
@@ -997,8 +966,8 @@ void AutoPipeController::attempt_recovery(Seconds now) {
   }
   ++recovery_attempts_;
   next_recovery_at_ =
-      now + config_.watchdog_min_interval *
-                std::pow(config_.recovery_backoff_base,
+      now + kWatchdogMinInterval *
+                std::pow(kRecoveryBackoffBase,
                          static_cast<double>(recovery_attempts_));
 
   std::vector<sim::WorkerId> alive;
@@ -1038,7 +1007,6 @@ void AutoPipeController::attempt_recovery(Seconds now) {
                             "fault");
   supersede_probes("fault");
   validation_.reset();
-  target_.reset();
   rejected_.clear();
   cooldown_until_ = 0;
   consecutive_reverts_ = 0;
@@ -1206,14 +1174,14 @@ void AutoPipeController::schedule_switch_retry() {
   AUTOPIPE_EXPECT(tracked_switch_.has_value());
   TrackedSwitch& t = *tracked_switch_;
   if (t.retry_scheduled) return;
-  if (t.attempts >= config_.switch_retry_max) {
+  if (t.attempts >= kSwitchRetryMax) {
     abandon_tracked_switch();
     return;
   }
   t.retry_scheduled = true;
   const Seconds delay =
       config_.switch_retry_base_interval *
-      std::pow(config_.switch_retry_backoff,
+      std::pow(kSwitchRetryBackoff,
                static_cast<double>(t.attempts - 1));
   const std::uint64_t epoch = retry_epoch_;
   cluster_.simulator().after(
@@ -1371,7 +1339,7 @@ void AutoPipeController::advance_probes() {
       continue;
     }
     ++p.samples;
-    if (p.samples >= config_.validation_window && now > p.window_start) {
+    if (p.samples >= kValidationWindow && now > p.window_start) {
       const double realized = static_cast<double>(executor_.batch_size()) *
                               static_cast<double>(p.samples) /
                               (now - p.window_start);

@@ -4,8 +4,8 @@
 // candidate's speed with the meta-network (or the analytic model, for the
 // ablation), asks the arbiter whether the best candidate is worth the
 // switching cost, and if so performs a fine-grained switch on the running
-// executor. Measured outcomes flow back as RL rewards and (optionally)
-// online-adaptation samples for the meta-network.
+// executor. Measured outcomes flow back as RL rewards and, when a
+// meta-network is supplied, as online-adaptation samples for it.
 #pragma once
 
 #include <chrono>
@@ -32,7 +32,8 @@ struct ControllerConfig {
     kRl,            ///< the paper's learned arbiter
     kAlwaysSwitch,  ///< straw-man: adopt every improving candidate
     kNeverSwitch,   ///< static configuration (PipeDream behaviour)
-    kThreshold,     ///< switch when predicted gain exceeds threshold_gain
+    kThreshold,     ///< switch when the predicted gain clears a fixed
+                    ///< threshold and pays back its cost (controller.cpp)
   };
   ArbiterMode arbiter_mode = ArbiterMode::kRl;
   pipeline::PipelineExecutor::SwitchMode switch_mode =
@@ -40,8 +41,6 @@ struct ControllerConfig {
   /// false: score candidates with the analytic integrated model instead of
   /// the meta-network (predictor ablation).
   bool use_meta_network = true;
-  /// LSTM window of dynamic-metric timesteps.
-  std::size_t history_window = 8;
   /// No decisions before this many completed iterations: the pipeline is
   /// filling and the profiler is converging, so early periods and speeds
   /// are not representative.
@@ -50,25 +49,16 @@ struct ControllerConfig {
   std::size_t decision_interval = 5;
   /// Minimum predicted relative gain for a candidate to be considered.
   double candidate_gain_floor = 0.01;
-  /// Gain threshold for ArbiterMode::kThreshold.
-  double threshold_gain = 0.05;
-  /// The estimated switching cost must pay back within this many
-  /// iterations of the predicted gain for the threshold arbiter to act.
-  double payback_horizon_iterations = 25.0;
-  /// Whether measured speeds feed back into the meta-network online.
-  bool online_adaptation = true;
-  std::size_t adaptation_batch = 16;
   /// Explore (epsilon-greedy) in the RL arbiter — on for offline training
   /// episodes, off for deployment.
   bool arbiter_explore = false;
   /// Measured-feedback validation: after a switch, compare the measured
-  /// speed over `validation_window` iterations with the pre-switch speed;
-  /// on regression, revert to the previous partition and hold off further
+  /// speed over a short post-switch window with the pre-switch speed; on
+  /// regression, revert to the previous partition and hold off further
   /// decisions for `revert_cooldown` iterations. This is the deployment
   /// safety net around predictor error (the RL reward plays the same role
   /// during training).
   bool validate_switches = true;
-  std::size_t validation_window = 8;
   std::size_t revert_cooldown = 6;
   /// Ceiling on the consecutive-revert exponential backoff: the decision
   /// cooldown after the n-th straight revert is
@@ -77,50 +67,20 @@ struct ControllerConfig {
   /// 6 << 6 = 384 iterations) instead of overflowing the shift or freezing
   /// planning forever. See revert_backoff_iterations().
   std::size_t max_revert_backoff_shift = 6;
-  /// A switch survives validation only if the measured period improves by
-  /// at least this fraction; otherwise it is reverted and blacklisted.
-  double regression_tolerance = 0.005;
   /// On a detected resource change, compute a full re-plan against the
   /// profiled environment and adopt it in one fine-grained switch when it
-  /// predicts at least replan_gain_threshold relative gain. Between
-  /// changes, the two-worker neighbourhood fine-tunes gradually (§4.2).
+  /// predicts a clear relative gain. Between changes, the two-worker
+  /// neighbourhood fine-tunes gradually (§4.2).
   bool replan_on_change = true;
-  double replan_gain_threshold = 0.10;
-  /// Alternative §4.2 mode exercised by the neighbourhood ablation: walk
-  /// toward the re-plan with successive two-worker switches instead of one
-  /// wholesale adoption.
-  bool gradual_migration = false;
-
-  // --- Fault-recovery watchdog (robustness layer) ---
-  /// A simulator-scheduled tick declares the pipeline wedged when no
-  /// iteration completes within `watchdog_factor` x the EMA iteration
-  /// period and either a worker is unreachable or the stall outlasts
-  /// `watchdog_fill_grace`; the response is an emergency re-plan over the
-  /// reachable workers only.
+  /// The fault-recovery watchdog: a simulator-scheduled tick that declares
+  /// the pipeline wedged and answers with an emergency re-plan over the
+  /// reachable workers (policy constants in controller.cpp).
   bool enable_watchdog = true;
-  double watchdog_factor = 4.0;
-  /// Tick-interval floor; also the base unit of the recovery backoff.
-  Seconds watchdog_min_interval = 0.25;
-  /// Allowance for pipeline fill, long stop-the-world drains, and slow
-  /// first iterations: with every worker reachable, a stall shorter than
-  /// this is never treated as a fault.
-  Seconds watchdog_fill_grace = 10.0;
-  /// Recovery attempts before the watchdog gives up and lets the
-  /// executor's deadlock detection surface the failure.
-  std::size_t recovery_max_retries = 6;
-  /// Backoff multiplier between consecutive recovery attempts.
-  double recovery_backoff_base = 2.0;
-
-  // --- Interruptible-switch retry policy ---
-  /// A switch attempt aborted by a fault mid-protocol (the executor rolls
-  /// the partial migration back) is retried after an exponential backoff of
-  /// `switch_retry_base_interval * switch_retry_backoff^(n-1)` simulated
-  /// seconds. After `switch_retry_max` total attempts the target is
-  /// abandoned: its ledger record resolves to the aborted_<phase> outcome
-  /// of the last attempt and the partition is blacklisted for the regime.
-  std::size_t switch_retry_max = 3;
+  /// First backoff of the interruptible-switch retry policy: a switch
+  /// attempt aborted by a fault mid-protocol is retried after this many
+  /// simulated seconds, doubling per attempt up to a fixed attempt budget
+  /// (see controller.cpp).
   Seconds switch_retry_base_interval = 0.05;
-  double switch_retry_backoff = 2.0;
 
   // --- Co-tenancy (multi-job clusters) ---
   /// 1-based job id stamped on this controller's ledger decision records.
@@ -203,9 +163,6 @@ class AutoPipeController {
   /// prediction.
   std::pair<partition::Partition, double> replan(
       const ProfileSnapshot& snapshot, const partition::EnvironmentView& env);
-  /// Take one step of an in-progress gradual migration. Returns true if a
-  /// switch was issued (or the target is still pending).
-  bool pursue_target();
   /// Predicted samples/s of `candidate`; `env` is the profiled environment
   /// of `snapshot`, built once per planning round.
   double predict_speed(const ProfileSnapshot& snapshot,
@@ -224,7 +181,7 @@ class AutoPipeController {
   void watchdog_tick();
   /// One emergency-recovery attempt: re-plan over the reachable workers and
   /// adopt it through the executor's emergency path. Bounded retries with
-  /// exponential backoff; gives up after recovery_max_retries.
+  /// exponential backoff; gives up after a fixed retry budget.
   void attempt_recovery(Seconds now);
   /// Fold returned excluded workers back in with a full-width re-plan.
   /// Returns true if a switch was requested.
@@ -287,14 +244,6 @@ class AutoPipeController {
   std::optional<PendingDecision> pending_;
   std::size_t last_switch_iteration_ = 0;
 
-  /// Long-range migration target (a full re-plan worth walking toward) and
-  /// the number of steps taken, as a runaway guard.
-  std::optional<partition::Partition> target_;
-  std::size_t target_steps_ = 0;
-  /// Ledger id of the decision round that set target_ (0 when the ledger is
-  /// off); tags each migration step's switch-phase trace instants.
-  std::uint64_t target_round_ = 0;
-
   struct Validation {
     partition::Partition previous;
     /// Mean seconds/iteration before the switch (lower is better).
@@ -351,11 +300,11 @@ class AutoPipeController {
 
   /// Open realized-speed measurement windows for ledger records: every hold
   /// decision, and switches that could not arm a validation window. Resolved
-  /// after validation_window completed iterations, or superseded when the
-  /// regime changes underneath them. Only populated while the ledger is
+  /// after a validation window of completed iterations, or superseded when
+  /// the regime changes underneath them. Only populated while the ledger is
   /// enabled; a hold decision does NOT supersede earlier holds (the regime
-  /// is unchanged), so a few probes overlap when decision_interval <
-  /// validation_window.
+  /// is unchanged), so a few probes overlap when decision_interval is
+  /// shorter than the window.
   struct LedgerProbe {
     std::uint64_t id = 0;
     bool switched = false;

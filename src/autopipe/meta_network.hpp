@@ -27,6 +27,10 @@ struct MetaNetworkConfig {
   double learning_rate = 1e-3;
 };
 
+/// The LSTM window: how many dynamic-metric timesteps the controller keeps
+/// and a speed sample carries.
+inline constexpr std::size_t kHistoryWindow = 8;
+
 /// One supervised sample: a window of dynamic-metric timesteps, the static
 /// and partition encodings, and the (normalized) speed the simulator
 /// measured for that configuration.

@@ -1,10 +1,8 @@
 #include "autopipe/switch_cost.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/expect.hpp"
-#include "nn/loss.hpp"
 
 namespace autopipe::core {
 
@@ -52,48 +50,6 @@ SwitchCostEstimate analytic_switch_cost(
       restage_overhead_per_layer * static_cast<double>(est.moved_layers) +
       kContentionShare * transfer;
   return est;
-}
-
-SwitchCostModel::SwitchCostModel(std::uint64_t seed)
-    : net_([&] {
-        Rng init(seed);
-        return nn::Mlp({4, 16, 8, 1}, nn::Activation::kRelu,
-                       nn::Activation::kIdentity, init);
-      }()),
-      optimizer_(net_.parameters(), 1e-3) {}
-
-std::vector<double> SwitchCostModel::featurize(const SwitchCostEstimate& e) {
-  return {
-      e.migration_bytes / (512.0 * 1024 * 1024),
-      static_cast<double>(e.changed_workers) / 16.0,
-      static_cast<double>(e.moved_layers) / 64.0,
-      e.stop_the_world,  // the analytic anchor
-  };
-}
-
-Seconds SwitchCostModel::predict(const SwitchCostEstimate& estimate) {
-  const auto f = featurize(estimate);
-  nn::Matrix x(1, f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) x.at(0, i) = f[i];
-  // A learned correction can under-shoot; cost is never negative.
-  return std::max(0.0, net_.forward(x).at(0, 0));
-}
-
-double SwitchCostModel::train_batch(const std::vector<Sample>& batch) {
-  AUTOPIPE_EXPECT(!batch.empty());
-  net_.zero_grad();
-  nn::Matrix x(batch.size(), 4);
-  nn::Matrix y(batch.size(), 1);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto f = featurize(batch[i].estimate);
-    for (std::size_t j = 0; j < f.size(); ++j) x.at(i, j) = f[j];
-    y.at(i, 0) = batch[i].measured_stall;
-  }
-  const nn::Matrix pred = net_.forward(x);
-  const nn::LossResult loss = nn::mse_loss(pred, y);
-  net_.backward(loss.grad);
-  optimizer_.step();
-  return loss.value;
 }
 
 }  // namespace autopipe::core

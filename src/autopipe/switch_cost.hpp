@@ -1,17 +1,13 @@
-// Switching-cost estimation (§4.3 uses "a similar meta-network as the speed
-// prediction model" to normalize switching cost into the RL reward). We
-// provide both: a transparent analytic estimate derived from the migration
-// volume and pipeline state, and a small learned regressor that can be
-// fitted to measured stalls; the controller uses the analytic form unless a
-// trained regressor is supplied.
+// Switching-cost estimation (§4.3 normalizes switching cost into the RL
+// reward; the paper fits "a similar meta-network as the speed prediction
+// model" for it). The controller prices every switch with a transparent
+// analytic estimate derived from the migration volume and pipeline state.
 #pragma once
 
 #include <cstddef>
 
 #include "common/units.hpp"
 #include "models/model.hpp"
-#include "nn/mlp.hpp"
-#include "nn/optimizer.hpp"
 #include "partition/environment.hpp"
 #include "partition/partition.hpp"
 
@@ -42,26 +38,5 @@ inline Seconds cost_for_mode(const SwitchCostEstimate& estimate,
                              bool fine_grained) {
   return fine_grained ? estimate.fine_grained : estimate.stop_the_world;
 }
-
-/// Learned refinement: regress measured stall seconds from a tiny feature
-/// vector (migration volume, bandwidth, pipeline state). Used by the
-/// ablation bench; the controller defaults to the analytic estimate.
-class SwitchCostModel {
- public:
-  explicit SwitchCostModel(std::uint64_t seed);
-
-  struct Sample {
-    SwitchCostEstimate estimate;  // analytic inputs as features
-    Seconds measured_stall = 0.0;
-  };
-
-  Seconds predict(const SwitchCostEstimate& estimate);
-  double train_batch(const std::vector<Sample>& batch);
-
- private:
-  static std::vector<double> featurize(const SwitchCostEstimate& e);
-  nn::Mlp net_;
-  nn::Adam optimizer_;
-};
 
 }  // namespace autopipe::core

@@ -41,6 +41,12 @@ struct Job {
   pipeline::ExecutorConfig executor;
   /// When set, an AutoPipeController with this config is attached.
   std::optional<core::ControllerConfig> controller;
+  /// The controller's learned components and feature encoder, forwarded to
+  /// its constructor: a null `meta` means the analytic predictor; `agent`
+  /// is required only by the RL arbiter.
+  core::MetaNetwork* meta = nullptr;
+  rl::DqnAgent* agent = nullptr;
+  core::FeatureEncoder encoder;
   std::size_t iterations = 40;
   std::size_t warmup = 10;
 };

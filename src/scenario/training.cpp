@@ -1,61 +1,50 @@
-#include "autopipe/training.hpp"
+#include "scenario/training.hpp"
 
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <optional>
 
 #include "common/expect.hpp"
-#include "common/log.hpp"
 #include "partition/neighborhood.hpp"
 #include "partition/pipedream_planner.hpp"
+#include "scenario/world.hpp"
 #include "sim/trace.hpp"
 
 namespace autopipe::core {
 
 namespace {
 
-/// A randomized shared-cluster instance plus the initial PipeDream plan.
-struct Scenario {
-  std::unique_ptr<sim::Simulator> simulator;
-  std::unique_ptr<sim::Cluster> cluster;
-  std::optional<partition::PlanResult> plan;
-};
-
-Scenario make_scenario(const models::ModelSpec& model,
-                       const ScenarioConfig& config, Rng& rng) {
-  Scenario s;
-  s.simulator = std::make_unique<sim::Simulator>();
-
-  sim::ClusterConfig cc;
-  cc.num_servers = config.num_servers;
-  cc.gpus_per_server = config.gpus_per_server;
+/// A randomized shared-cluster instance: the NIC rate, extra tenants per
+/// GPU and halved NICs are drawn from `rng`. The job (`model` on the
+/// configured framework) is not launched yet.
+std::unique_ptr<scenario::World> make_scenario(const models::ModelSpec& model,
+                                               const ScenarioConfig& config,
+                                               Rng& rng) {
+  scenario::Spec spec;
+  spec.cluster.num_servers = config.num_servers;
+  spec.cluster.gpus_per_server = config.gpus_per_server;
   const double gbps_pick =
       config.bandwidth_gbps[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(config.bandwidth_gbps.size()) - 1))];
-  cc.nic_bandwidth = gbps(gbps_pick);
-  s.cluster = std::make_unique<sim::Cluster>(*s.simulator, cc);
+  spec.cluster.nic_bandwidth = gbps(gbps_pick);
+  spec.job.model = model;
+  spec.job.executor.framework = config.framework;
+  spec.job.executor.sync_scheme = config.sync_scheme;
+  auto world = std::make_unique<scenario::World>(std::move(spec));
 
   // Random contention: some GPUs host extra tenants, some NICs are cut.
-  for (sim::WorkerId w = 0; w < s.cluster->num_workers(); ++w) {
+  sim::Cluster& cluster = world->cluster();
+  for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w) {
     const int extra =
         static_cast<int>(rng.uniform_int(0, config.max_extra_tenants));
-    for (int i = 0; i < extra; ++i) s.cluster->add_background_job(w);
+    for (int i = 0; i < extra; ++i) cluster.add_background_job(w);
   }
-  for (std::size_t server = 0; server < s.cluster->num_servers(); ++server) {
+  for (std::size_t server = 0; server < cluster.num_servers(); ++server) {
     if (rng.chance(0.3)) {
-      s.cluster->set_nic_bandwidth(server,
-                                   s.cluster->nic_bandwidth(server) * 0.5);
+      cluster.set_nic_bandwidth(server, cluster.nic_bandwidth(server) * 0.5);
     }
   }
-
-  // Initial plan: what PipeDream would install (exclusive-GPU view).
-  auto env = partition::EnvironmentView::from_cluster(
-      *s.cluster, config.framework, config.sync_scheme);
-  partition::PipeDreamPlanner planner(model, env, model.default_batch_size(),
-                                      partition::PipeDreamPlanner::Mode::kPipeDream);
-  s.plan = planner.plan(s.cluster->num_workers());
-  return s;
+  return world;
 }
 
 }  // namespace
@@ -82,36 +71,41 @@ std::vector<SpeedSample> generate_speed_dataset(
   dataset.reserve(count);
 
   for (std::size_t n = 0; n < count; ++n) {
-    Scenario s = make_scenario(model, scenario, rng);
-    partition::Partition p =
-        perturb_partition(s.plan->partition,
-                          scenario.max_partition_perturbations, rng);
-
-    pipeline::ExecutorConfig ec;
-    ec.framework = scenario.framework;
-    ec.sync_scheme = scenario.sync_scheme;
-    pipeline::PipelineExecutor executor(*s.cluster, model, p, ec);
+    auto world = make_scenario(model, scenario, rng);
+    // The partition to measure: PipeDream's plan (exclusive-GPU view),
+    // randomly perturbed.
+    const auto env = partition::EnvironmentView::from_cluster(
+        world->cluster(), scenario.framework, scenario.sync_scheme);
+    partition::PipeDreamPlanner planner(
+        model, env, model.default_batch_size(),
+        partition::PipeDreamPlanner::Mode::kPipeDream);
+    const partition::Partition p = perturb_partition(
+        planner.plan(world->cluster().num_workers()).partition,
+        scenario.max_partition_perturbations, rng);
+    scenario::Job job = world->spec().job;
+    job.partition = p;
+    job.iterations = scenario.warmup_iterations + scenario.measure_iterations;
+    job.warmup = scenario.warmup_iterations;
+    world->launch(std::move(job));
+    pipeline::PipelineExecutor& executor = world->executor();
 
     // Collect the dynamic-feature window while the measurement runs.
     Profiler profiler(model, executor.batch_size());
     std::deque<std::vector<double>> history;
-    executor.set_iteration_callback([&](std::size_t) {
-      history.push_back(
-          encoder.dynamic_features(profiler.snapshot(executor, *s.cluster)));
-      while (history.size() > 8) history.pop_front();
+    world->set_iteration_observer([&](std::size_t) {
+      history.push_back(encoder.dynamic_features(
+          profiler.snapshot(executor, world->cluster())));
+      while (history.size() > kHistoryWindow) history.pop_front();
     });
-
-    const auto report = executor.run(
-        scenario.warmup_iterations + scenario.measure_iterations,
-        scenario.warmup_iterations);
+    world->run();
 
     SpeedSample sample;
     sample.dynamic_seq.assign(history.begin(), history.end());
-    sample.static_feat =
-        encoder.static_features(profiler.snapshot(executor, *s.cluster));
+    sample.static_feat = encoder.static_features(
+        profiler.snapshot(executor, world->cluster()));
     sample.partition_feat =
         encoder.partition_features(p, model.num_layers());
-    sample.target = encoder.normalize_throughput(report.throughput);
+    sample.target = encoder.normalize_throughput(world->report().throughput);
     dataset.push_back(std::move(sample));
   }
   return dataset;
@@ -165,14 +159,8 @@ ArbiterTrainingResult train_arbiter_offline(
   result.episodes = episodes;
 
   for (std::size_t e = 0; e < episodes; ++e) {
-    Scenario s = make_scenario(model, scenario, rng);
-
-    pipeline::ExecutorConfig ec;
-    ec.framework = scenario.framework;
-    ec.sync_scheme = scenario.sync_scheme;
-    pipeline::PipelineExecutor executor(*s.cluster, model, s.plan->partition,
-                                        ec);
-
+    auto world = make_scenario(model, scenario, rng);
+    scenario::Job job = world->spec().job;
     ControllerConfig cc;
     cc.arbiter_mode = ControllerConfig::ArbiterMode::kRl;
     cc.use_meta_network = meta != nullptr;
@@ -181,8 +169,12 @@ ArbiterTrainingResult train_arbiter_offline(
     cc.min_history_iterations = 3;  // short episodes: explore early
     cc.candidate_gain_floor = 0.0;
     cc.validate_switches = false;   // the reward signal judges switches
-    AutoPipeController controller(*s.cluster, executor, cc, meta, &agent);
-    controller.attach();
+    job.controller = cc;
+    job.meta = meta;
+    job.agent = &agent;
+    job.iterations = iterations_per_episode;
+    job.warmup = 1;
+    world->launch(std::move(job));
 
     // Random mid-episode resource events make the decision problem real.
     sim::ResourceTrace trace;
@@ -200,14 +192,10 @@ ArbiterTrainingResult train_arbiter_offline(
         trace.at_iteration(iter, sim::ResourceTrace::add_job_all_gpus());
       }
     }
-    executor.set_iteration_callback([&](std::size_t iters) {
-      trace.apply_iteration(iters, *s.cluster);
-      controller.on_iteration(iters);
-    });
-
-    const auto report = executor.run(iterations_per_episode, 1);
-    result.total_switches += controller.stats().switches_requested;
-    result.mean_episode_throughput += report.throughput;
+    world->set_resource_trace(&trace);
+    world->run();
+    result.total_switches += world->controller()->stats().switches_requested;
+    result.mean_episode_throughput += world->report().throughput;
   }
   result.mean_episode_throughput /= static_cast<double>(episodes);
   return result;

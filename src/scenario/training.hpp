@@ -2,7 +2,8 @@
 // training, online adapting"). Ground truth comes from the simulator: each
 // speed sample is a short measured run of a randomized (environment,
 // partition) pair, and arbiter episodes are randomized dynamic scenarios
-// driven end-to-end through the controller with exploration on.
+// driven end-to-end through the controller with exploration on. Every run
+// is a scenario::World, the same assembly every other tool uses.
 #pragma once
 
 #include <cstddef>

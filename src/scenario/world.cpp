@@ -96,12 +96,14 @@ void World::launch() {
 
   if (job.controller) {
     controller_ = std::make_unique<core::AutoPipeController>(
-        *cluster_, *executor_, *job.controller, nullptr, nullptr);
+        *cluster_, *executor_, *job.controller, job.meta, job.agent,
+        job.encoder);
     controller_->attach();
   }
   executor_->set_iteration_callback([this](std::size_t iters) {
     if (resources_ != nullptr) resources_->apply_iteration(iters, *cluster_);
     if (controller_) controller_->on_iteration(iters);
+    if (observer_) observer_(iters);
   });
 }
 

@@ -9,11 +9,13 @@
 // (through faults); launch() builds the job on it. Between the two a caller
 // may shape the environment (extra flows, its own planning); between
 // launch() and run() it may add hooks on the exposed simulator, cluster,
-// executor or controller (switch fault plans, switch triggers, probes).
+// executor or controller (switch fault plans, switch triggers), and one
+// per-iteration observer that runs after the controller's round.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -63,6 +65,12 @@ class World {
   void set_resource_trace(const sim::ResourceTrace* trace) {
     resources_ = trace;
   }
+  /// Calls `observer` at every completed iteration, after the resource
+  /// trace and the controller's round (single-job runs): the hook for a
+  /// caller's own per-iteration probes, timelines or scripted switches.
+  void set_iteration_observer(std::function<void(std::size_t)> observer) {
+    observer_ = std::move(observer);
+  }
 
   /// Runs the job (or fleet) to completion, then finalizes the ledger and
   /// the time series, so every artifact is ready to write.
@@ -93,6 +101,7 @@ class World {
   std::unique_ptr<sim::Cluster> cluster_;
   faults::FaultPlan fault_plan_;
   const sim::ResourceTrace* resources_ = nullptr;
+  std::function<void(std::size_t)> observer_;
   bool launched_ = false;
 
   std::optional<partition::PlanResult> plan_;

@@ -13,13 +13,13 @@
 #include "autopipe/profiler.hpp"
 #include "autopipe/resource_monitor.hpp"
 #include "autopipe/switch_cost.hpp"
-#include "autopipe/training.hpp"
 #include "common/units.hpp"
 #include "models/zoo.hpp"
 #include "partition/analytic_eval.hpp"
 #include "partition/pipedream_planner.hpp"
 #include "partition_fixtures.hpp"
 #include "pipeline/executor.hpp"
+#include "scenario/training.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
@@ -256,27 +256,6 @@ TEST(SwitchCost, NoChangeCostsNothing) {
   const auto cost = analytic_switch_cost(model, p, p, env, 0.1, 3, millis(2));
   EXPECT_DOUBLE_EQ(cost.migration_bytes, 0.0);
   EXPECT_DOUBLE_EQ(cost.fine_grained, 0.0);
-}
-
-TEST(SwitchCost, LearnedModelFitsAnalyticAnchor) {
-  SwitchCostModel model(3);
-  Rng rng(9);
-  std::vector<SwitchCostModel::Sample> data;
-  for (int i = 0; i < 64; ++i) {
-    SwitchCostEstimate e;
-    e.migration_bytes = rng.uniform(0, 5e8);
-    e.changed_workers = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    e.moved_layers = static_cast<std::size_t>(rng.uniform_int(1, 30));
-    e.stop_the_world = rng.uniform(0, 2);
-    data.push_back({e, 0.5 * e.stop_the_world});
-  }
-  double first = 0, last = 0;
-  for (int epoch = 0; epoch < 400; ++epoch) {
-    const double loss = model.train_batch(data);
-    if (epoch == 0) first = loss;
-    last = loss;
-  }
-  EXPECT_LT(last, first / 4.0);
 }
 
 TEST(ResourceMonitor, DetectsPersistentBandwidthStep) {

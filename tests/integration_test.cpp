@@ -7,12 +7,12 @@
 #include <memory>
 
 #include "autopipe/controller.hpp"
-#include "autopipe/training.hpp"
 #include "baselines/data_parallel.hpp"
 #include "common/units.hpp"
 #include "models/zoo.hpp"
 #include "partition/pipedream_planner.hpp"
 #include "pipeline/executor.hpp"
+#include "scenario/training.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 

@@ -586,9 +586,7 @@ TEST(SimulatorWheel, WatchdogStyleCadenceKeepsExactInstants) {
     EXPECT_EQ(observed[i], scheduled[i]) << "@" << i;
 }
 
-// The name predates the single event queue; it is kept so the ctest id
-// stays stable.
-TEST(SimulatorWheel, ZeroProgressGuardTripsIdenticallyUnderBothQueues) {
+TEST(SimulatorWheel, ZeroProgressGuardTripsOnSameInstantSpin) {
   Simulator sim;
   sim.set_zero_progress_bound(64);
   std::function<void()> loop = [&] {
